@@ -43,20 +43,33 @@ def gamma_enhance(response: np.ndarray, gamma: float) -> np.ndarray:
     return (response / peak) ** gamma
 
 
+def _maxima_mask(enhanced: np.ndarray) -> np.ndarray:
+    """Interior local maxima per row; a plateau counts once at its center.
+
+    A maximal run of equal values [s, e] is a maximum when it touches neither
+    end of its row and both neighbours are strictly lower; it is marked at
+    (s + e) // 2.
+    """
+    h, w = enhanced.shape
+    mask = np.zeros(h * w, dtype=bool)
+    if w < 3:
+        return mask.reshape(h, w)
+    flat = enhanced.ravel()
+    differs = enhanced[:, 1:] != enhanced[:, :-1]
+    edge = np.ones((h, 1), dtype=bool)
+    # runs break at every row boundary, so flat indices never mix rows
+    starts = np.flatnonzero(np.hstack([edge, differs]))
+    ends = np.flatnonzero(np.hstack([differs, edge]))
+    interior = (starts % w > 0) & (ends % w < w - 1)
+    starts, ends = starts[interior], ends[interior]
+    peak = (flat[starts - 1] < flat[starts]) & (flat[ends + 1] < flat[ends])
+    mask[(starts[peak] + ends[peak]) // 2] = True
+    return mask.reshape(h, w)
+
+
 def _row_maxima(row: np.ndarray) -> list[int]:
     """Indices of interior local maxima; a plateau counts once at its center."""
-    n = row.size
-    maxima = []
-    i = 1
-    while i < n - 1:
-        j = i
-        while j + 1 < n and row[j + 1] == row[i]:
-            j += 1
-        # plateau [i, j]; maximal run of equal values
-        if j < n - 1 and row[i - 1] < row[i] and row[j + 1] < row[j]:
-            maxima.append((i + j) // 2)
-        i = j + 1
-    return maxima
+    return np.flatnonzero(_maxima_mask(np.asarray(row)[None, :])).tolist()
 
 
 def envelope(enhanced: np.ndarray) -> np.ndarray:
@@ -69,17 +82,29 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     Not idempotent: a second pass bridges first-pass maxima that lie below
     both neighbouring maxima. Its fixed points are the rows with at most one
     interior maximum.
+
+    All rows go through one np.interp over flat indices r * W + c, each row
+    bracketed by knots at columns 0 and W - 1 that hold its first and last
+    maximum. Knot gaps are exact integers, so this equals a per-row np.interp
+    bit for bit.
     """
     enhanced = np.asarray(enhanced, dtype=float)
     out = enhanced.copy()
-    cols = np.arange(enhanced.shape[1])
-    for r in range(enhanced.shape[0]):
-        row = enhanced[r]
-        maxima = _row_maxima(row)
-        if not maxima:
-            continue
-        interp = np.interp(cols, maxima, row[maxima])
-        out[r] = np.maximum(interp, row)
+    w = enhanced.shape[1]
+    knots = np.flatnonzero(_maxima_mask(enhanced))
+    if knots.size == 0:
+        return out
+    row_of = knots // w
+    first = np.flatnonzero(np.diff(row_of, prepend=-1))
+    last = np.append(first[1:], knots.size) - 1
+    rows = row_of[first]
+    values = enhanced.ravel()[knots]
+    xp = np.concatenate([rows * w, knots, rows * w + w - 1])
+    fp = np.concatenate([values[first], values, values[last]])
+    order = np.argsort(xp)
+    x = (rows[:, None] * w + np.arange(w)).ravel()
+    interp = np.interp(x, xp[order], fp[order]).reshape(rows.size, w)
+    out[rows] = np.maximum(interp, enhanced[rows])
     return out
 
 

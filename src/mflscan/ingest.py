@@ -7,7 +7,7 @@ pixel values in [-1, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -31,8 +31,9 @@ class MflRecord:
             raise ValueError("samples must be an M x N matrix with N >= 2")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if self.sampling_rate_hz <= 0 or self.inspection_speed_mps <= 0:
-            raise ValueError("sampling rate and inspection speed must be > 0")
+        rates = (self.sampling_rate_hz, self.inspection_speed_mps)
+        if not all(np.isfinite(x) and x > 0 for x in rates):
+            raise ValueError("sampling rate and inspection speed must be finite and > 0")
 
     @property
     def sample_count(self) -> int:

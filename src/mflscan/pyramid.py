@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate2d
+from scipy.ndimage import correlate1d
 
 from .errors import ImageTooSmall, LayerSmallerThanKernel
 from .ingest import MflImage
@@ -21,7 +21,6 @@ class ImagePyramid:
     """Layer 1 is the original image; layers 2 and 3 are repeated 2x2 poolings."""
 
     layers: tuple[np.ndarray, np.ndarray, np.ndarray]
-    segment_index: int
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ def build_pyramid(img: MflImage) -> ImagePyramid:
         raise ImageTooSmall(f"image {pixels.shape} too small for a 3-layer pyramid")
     layer2 = _pool2(pixels)
     layer3 = _pool2(layer2)
-    return ImagePyramid(layers=(pixels, layer2, layer3), segment_index=img.segment_index)
+    return ImagePyramid(layers=(pixels, layer2, layer3))
 
 
 def build_template(size: int) -> FlawTemplate:
@@ -68,6 +67,13 @@ def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
     Axial (left/right) edges are padded by replicating the nearest interior
     column; radial (top/bottom) edges wrap circularly, matching the ring
     sensor geometry. The returned response is the elementwise absolute value.
+
+    The template is rank 1: every row is the same axial step row, i.e. a
+    radial box of K ones times that row. So the correlation runs as two 1-D
+    passes, a K-wide box sum down each column (wrapping) and then the step
+    row along each row (clamped). The template is anchored at row and column
+    (K - 1) // 2; for even K that is one less than ndimage's default K // 2,
+    hence origin -1.
     """
     layer = np.asarray(layer, dtype=float)
     k = template.size
@@ -75,9 +81,9 @@ def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
         raise LayerSmallerThanKernel(
             f"layer {layer.shape} smaller than kernel size {k}"
         )
-    before = (k - 1) // 2
-    after = k // 2
-    padded = np.pad(layer, ((before, after), (0, 0)), mode="wrap")
-    padded = np.pad(padded, ((0, 0), (before, after)), mode="edge")
-    response = correlate2d(padded, template.kernel, mode="valid")
+    origin = -1 if k % 2 == 0 else 0
+    radial = correlate1d(layer, np.ones(k), axis=0, mode="wrap", origin=origin)
+    response = correlate1d(
+        radial, template.kernel[0], axis=1, mode="nearest", origin=origin
+    )
     return np.abs(response)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestDetect:
         bad = tmp_path / "bad.mfl"
         bad.write_bytes(b"MFL1" + b"\x01" * 10)
         assert main(["detect", str(bad)]) == EXIT_PARSE
+
+    def test_non_finite_rate_parse_error(self, tmp_path, capsys):
+        for rate in (float("nan"), float("inf")):
+            bad = tmp_path / "rate.mfl"
+            header = struct.pack("<IIdd", 400, 16, rate, 0.5)
+            bad.write_bytes(b"MFL1" + header + bytes(8 * 400 * 16))
+            assert main(["detect", str(bad)]) == EXIT_PARSE
+            assert "finite" in capsys.readouterr().err
 
 
 class TestEvaluate:

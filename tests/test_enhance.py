@@ -13,6 +13,28 @@ from mflscan.enhance import (
 from mflscan.errors import DimensionMismatch
 
 
+def naive_envelope(enhanced):
+    """Row-by-row reference for `envelope`: a plateau-scanning loop finds each
+    row's interior maxima, then one np.interp per row bridges them."""
+    out = enhanced.copy()
+    n = enhanced.shape[1]
+    cols = np.arange(n)
+    for r, row in enumerate(enhanced):
+        maxima = []
+        i = 1
+        while i < n - 1:
+            j = i
+            while j + 1 < n and row[j + 1] == row[i]:
+                j += 1
+            # plateau [i, j]; maximal run of equal values
+            if j < n - 1 and row[i - 1] < row[i] and row[j + 1] < row[j]:
+                maxima.append((i + j) // 2)
+            i = j + 1
+        if maxima:
+            out[r] = np.maximum(np.interp(cols, maxima, row[maxima]), row)
+    return out
+
+
 class TestGammaEnhance:
     def test_unit_exponent_is_max_normalization(self):
         rng = np.random.default_rng(0)
@@ -74,6 +96,27 @@ class TestEnvelope:
         out = envelope(row)
         assert out[0, 0] == pytest.approx(0.8)
         assert np.all(out >= row)
+
+    def test_matches_naive_oracle(self):
+        rng = np.random.default_rng(7)
+        fixed = [
+            np.full((3, 9), 0.4),  # constant rows
+            np.tile(np.linspace(0, 1, 9), (2, 1)),  # monotone rows
+            np.tile(np.linspace(1, 0, 9), (2, 1)),
+            np.array([[0.0, 0.2, 0.9, 0.2, 0.1, 0.1]]),  # exactly one maximum
+            np.array([[0.3, 0.5, 0.5, 0.5, 0.2]]),  # one plateau maximum
+        ]
+        for e in fixed:
+            assert np.array_equal(envelope(e), naive_envelope(e))
+        for trial in range(300):
+            shape = (int(rng.integers(1, 61)), int(rng.integers(1, 41)))
+            if trial < 30:
+                shape = (shape[0], trial % 3 + 1)  # widths 1-3
+            if trial % 2:
+                e = rng.integers(0, 4, size=shape).astype(float)  # plateaus
+            else:
+                e = rng.uniform(0, 1, size=shape)
+            assert np.array_equal(envelope(e), naive_envelope(e))
 
     def test_rows_processed_independently(self):
         e = np.zeros((2, 6))

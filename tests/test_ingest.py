@@ -32,8 +32,11 @@ class TestRecordValidation:
             make_record(np.zeros((10, 1)))
 
     def test_rejects_non_positive_speed(self):
-        with pytest.raises(ValueError):
-            make_record(np.zeros((10, 4)), v=0.0)
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_record(np.zeros((10, 4)), v=bad)
+            with pytest.raises(ValueError):
+                make_record(np.zeros((10, 4)), fs=bad)
 
     def test_shape_properties(self):
         rec = make_record(np.zeros((30, 4)))

@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from . import formats
-from .errors import FormatError, MflError, SpecInvalid
+from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig
-from .pipeline import process_record
+from .pipeline import method_plan, process_record
 from .ssr import AdaptiveConfig, build_context
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
@@ -46,8 +46,7 @@ class RunConfig:
     def __init__(self):
         self.preprocess = {}
         self.adaptive = {}
-        self.run = {"fusion_mode": "recursive", "method": "adaptive",
-                    "min_area_px": 4, "threshold_step": 0.05}
+        self.run = {}  # only the keys that were set; process_record has the defaults
 
     def preprocess_cfg(self) -> PreprocessConfig:
         return PreprocessConfig(**self.preprocess)
@@ -135,11 +134,8 @@ def cmd_detect(args) -> int:
         record,
         preprocess_cfg=cfg.preprocess_cfg(),
         adaptive_cfg=cfg.adaptive_cfg(),
-        method=cfg.run["method"],
-        fusion_mode=cfg.run["fusion_mode"],
-        min_area_px=cfg.run["min_area_px"],
-        threshold_step=cfg.run["threshold_step"],
         dump_dir=dump_dir,
+        **cfg.run,
     )
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
@@ -196,17 +192,21 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     record = formats.read_record(args.record)
+    adaptive_cfg = cfg.adaptive_cfg()
     context = build_context(
-        record.sampling_rate_hz, record.inspection_speed_mps, cfg.adaptive_cfg()
+        record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg
     )
+    plan_keys = {key: cfg.run[key] for key in ("method", "fusion_mode") if key in cfg.run}
+    _, fusion_weights = method_plan(context, adaptive_cfg, **plan_keys)
     if args.dump_stages:
         dump_dir = Path(args.dump_stages)
         dump_dir.mkdir(parents=True, exist_ok=True)
         process_record(
             record,
             preprocess_cfg=cfg.preprocess_cfg(),
-            adaptive_cfg=cfg.adaptive_cfg(),
+            adaptive_cfg=adaptive_cfg,
             dump_dir=dump_dir,
+            **cfg.run,
         )
     print(json.dumps({
         "schema_version": formats.SCHEMA_VERSION,
@@ -214,6 +214,7 @@ def cmd_inspect(args) -> int:
         "mu": context.mu,
         "K_a": context.kernel_size,
         "weights": list(context.weights),
+        "fusion_weights": list(fusion_weights),
     }, indent=2))
     return EXIT_OK
 
@@ -265,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ConfigInvalid as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (FormatError, SpecInvalid, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -1,14 +1,15 @@
-"""Response enhancement and SSR-weighted pyramid fusion.
+"""Response enhancement and weighted pyramid fusion.
 
 Each layer response is contrast-stretched with a gamma power, bridged into
 per-row upper envelopes (so a flaw's peak/valley response pair merges into one
-blob), then the three layers are blended coarse-to-fine with SSR-driven
-weights.
+blob), then the layers are blended into one full-resolution image with one
+weight per layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -20,13 +21,19 @@ from .errors import DimensionMismatch
 class EnhancedLayer:
     gamma_image: np.ndarray
     envelope_image: np.ndarray
-    layer_index: int
 
 
 @dataclass(frozen=True)
 class FusedImage:
     pixels: np.ndarray
     weights_used: tuple[float, float, float]
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        """Pixels divided by their peak; all zeros when the peak is not positive."""
+        pixels = np.asarray(self.pixels, dtype=float)
+        peak = pixels.max() if pixels.size else 0.0
+        return pixels / peak if peak > 0 else np.zeros_like(pixels)
 
 
 def gamma_enhance(response: np.ndarray, gamma: float) -> np.ndarray:
@@ -119,47 +126,30 @@ def upsample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return map_coordinates(src, grid, order=1, mode="nearest")
 
 
-def _check_halvings(f1: np.ndarray, f2: np.ndarray, f3: np.ndarray):
-    if f2.shape != (f1.shape[0] // 2, f1.shape[1] // 2) or f3.shape != (
-        f2.shape[0] // 2,
-        f2.shape[1] // 2,
-    ):
-        raise DimensionMismatch(
-            f"layer shapes {f1.shape}, {f2.shape}, {f3.shape} are not successive halvings"
-        )
+def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> FusedImage:
+    """Blend 1 to 3 envelope layers, finest first, into one full-resolution image.
 
-
-def fuse(
-    envelopes: tuple[np.ndarray, np.ndarray, np.ndarray],
-    weights: tuple[float, float, float],
-    mode: str = "recursive",
-) -> FusedImage:
-    """Blend three envelope layers into one full-resolution image.
-
-    recursive: G3 = F3; G2 = w2*F2 + (1-w2)*up(G3); G1 = w1*F1 + (1-w1)*up(G2).
-    flat:      w1*F1 + w2*up(F2) + w3*up(up(F3)), all upsampled to full size.
+    The result is w1*F1 + w2*up(F2) + w3*up(up(F3)), where each layer halves
+    the one before it. Bilinear upsampling is linear, so the sum is built
+    coarse to fine with one upsample per step: G = w3*F3, then
+    G = w2*F2 + up(G), then G = w1*F1 + up(G). Layers left out must have
+    weight zero.
     """
-    f1, f2, f3 = (np.asarray(f, dtype=float) for f in envelopes)
-    _check_halvings(f1, f2, f3)
-    w1, w2, w3 = weights
-    if mode == "recursive":
-        g2 = w2 * f2 + (1.0 - w2) * upsample_bilinear(f3, f2.shape)
-        g1 = w1 * f1 + (1.0 - w1) * upsample_bilinear(g2, f1.shape)
-    elif mode == "flat":
-        g1 = (
-            w1 * f1
-            + w2 * upsample_bilinear(f2, f1.shape)
-            + w3 * upsample_bilinear(upsample_bilinear(f3, f2.shape), f1.shape)
-        )
-    else:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    return FusedImage(pixels=g1, weights_used=(w1, w2, w3))
+    layers = [np.asarray(f, dtype=float) for f in envelopes]
+    n = len(layers)
+    if not 1 <= n <= len(weights) or any(weights[n:]):
+        raise ValueError(f"{n} layers do not fit the weights {weights}")
+    for fine, coarse in zip(layers, layers[1:]):
+        if coarse.shape != (fine.shape[0] // 2, fine.shape[1] // 2):
+            raise DimensionMismatch(
+                f"layer shapes {[f.shape for f in layers]} are not successive halvings"
+            )
+    fused = weights[n - 1] * layers[n - 1]
+    for j in range(n - 2, -1, -1):
+        fused = weights[j] * layers[j] + upsample_bilinear(fused, layers[j].shape)
+    return FusedImage(pixels=fused, weights_used=tuple(weights))
 
 
-def enhance_layer(response: np.ndarray, gamma: float, layer_index: int) -> EnhancedLayer:
+def enhance_layer(response: np.ndarray, gamma: float) -> EnhancedLayer:
     gamma_image = gamma_enhance(response, gamma)
-    return EnhancedLayer(
-        gamma_image=gamma_image,
-        envelope_image=envelope(gamma_image),
-        layer_index=layer_index,
-    )
+    return EnhancedLayer(gamma_image=gamma_image, envelope_image=envelope(gamma_image))

@@ -13,11 +13,15 @@ class NonPositiveInput(MflError):
     """A quantity that must be strictly positive was zero or negative."""
 
 
-class ImageTooSmall(MflError):
+class ConfigInvalid(MflError, ValueError):
+    """A setting is out of range, or too small for the record it runs on."""
+
+
+class ImageTooSmall(ConfigInvalid):
     """Image dimensions are too small to build a pyramid."""
 
 
-class LayerSmallerThanKernel(MflError):
+class LayerSmallerThanKernel(ConfigInvalid):
     """A pyramid layer is smaller than the matching kernel."""
 
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import pipeline
 from .localize import Detection
+from .pipeline import METHODS
 from .synth import GroundTruthFlaw
-
-METHODS = ("single_scale", "unweighted_multiscale", "adaptive")
 
 
 @dataclass
@@ -82,18 +82,16 @@ def run_ablation(dataset, method_tag: str, preprocess_cfg=None, adaptive_cfg=Non
     """Run the full pipeline on (record, truths) pairs and aggregate counts.
 
     single_scale uses layer 1 with the base kernel and no fusion;
-    unweighted_multiscale forces flat (1/3, 1/3, 1/3) fusion; adaptive is the
-    complete SSR-adaptive pipeline.
+    unweighted_multiscale fuses with flat (1/3, 1/3, 1/3) weights; adaptive is
+    the complete SSR-adaptive pipeline (see `pipeline.METHOD_PLANS`).
     """
-    from .pipeline import process_record  # deferred: pipeline imports this module's types
-
     if method_tag not in METHODS:
         raise ValueError(f"unknown method {method_tag!r}")
     if not dataset:
         raise ValueError("dataset must be nonempty")
     report = EvalReport(method_tag=method_tag)
     for record, truths in dataset:
-        result = process_record(
+        result = pipeline.process_record(
             record,
             preprocess_cfg=preprocess_cfg,
             adaptive_cfg=adaptive_cfg,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import RecordTooShort
+from .errors import ConfigInvalid, RecordTooShort
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,11 @@ class PreprocessConfig:
     half_span_la: int = 100
     image_height: int = 200
     segment_length: int = 200
-    interpolation: str = "cubic_spline"
 
     def __post_init__(self):
-        if self.half_span_la < 1:
-            raise ValueError("half_span_la must be >= 1")
-        if self.interpolation != "cubic_spline":
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        for name in ("half_span_la", "image_height", "segment_length"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalid(f"{name} must be >= 1")
 
 
 def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
@@ -124,7 +122,7 @@ def interpolate_radial(normalized: np.ndarray, height: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least 2 channels")
     if height < n:
-        raise ValueError("target height must be >= channel count")
+        raise ConfigInvalid(f"image height {height} is below the channel count {n}")
     knots = np.arange(n + 1, dtype=float)
     wrapped = np.concatenate([data, data[:, :1]], axis=1)
     spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")

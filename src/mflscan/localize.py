@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from scipy.ndimage import label
 
 from .enhance import FusedImage
+from .errors import ConfigInvalid
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -41,17 +43,18 @@ class ThresholdScan:
 def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
     """Sweep binarization thresholds and pick the most stable one.
 
-    The fused image is normalized by its max, then every threshold in
-    {step, 2*step, ...} < 1 is applied and the 8-connected white regions are
-    counted. The chosen threshold is the midpoint of the longest contiguous
-    plateau of constant nonzero region count; ties break toward the higher
-    plateau. An all-zero image yields an empty scan with sentinel 1.0.
+    Every threshold in {step, 2*step, ...} < 1 is applied to the max-normalized
+    fused image and the 8-connected white regions are counted; the peak pixel
+    passes every threshold, so each count is at least 1. The chosen threshold
+    is the midpoint of the longest contiguous plateau of constant region
+    count; ties break toward the higher plateau. An all-zero image yields an
+    empty scan with sentinel 1.0.
     """
-    pixels = np.asarray(fused.pixels, dtype=float)
-    peak = pixels.max() if pixels.size else 0.0
-    if peak <= 0:
+    if not 0 < step < 1:
+        raise ConfigInvalid(f"threshold step {step} must lie in (0, 1)")
+    norm = fused.normalized
+    if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
-    norm = pixels / peak
     count = int(math.ceil(1.0 / step)) - 1
     thresholds = [round((i + 1) * step, 12) for i in range(count)]
     counts = []
@@ -59,25 +62,16 @@ def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
         _, n_regions = label(norm >= t, structure=EIGHT_CONNECTED)
         counts.append(n_regions)
 
-    best = None  # (length, start, end)
-    i = 0
-    while i < len(counts):
-        j = i
-        while j + 1 < len(counts) and counts[j + 1] == counts[i]:
-            j += 1
-        if counts[i] > 0:
-            run = (j - i + 1, i, j)
-            if best is None or run[0] >= best[0]:
-                best = run
-        i = j + 1
-    if best is None:
-        chosen = 1.0
-    else:
-        chosen = (thresholds[best[1]] + thresholds[best[2]]) / 2.0
+    best, start = (0, 0, 0), 0  # (length, first, last) of the longest plateau
+    for _, run in groupby(counts):
+        length = len(list(run))
+        if length >= best[0]:
+            best = (length, start, start + length - 1)
+        start += length
     return ThresholdScan(
         thresholds=tuple(thresholds),
         region_counts=tuple(counts),
-        chosen_threshold=chosen,
+        chosen_threshold=(thresholds[best[1]] + thresholds[best[2]]) / 2.0,
     )
 
 
@@ -85,11 +79,7 @@ def binarize(fused: FusedImage, threshold: float) -> np.ndarray:
     """White (1) wherever the max-normalized fused value reaches the threshold."""
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
-    pixels = np.asarray(fused.pixels, dtype=float)
-    peak = pixels.max() if pixels.size else 0.0
-    if peak <= 0:
-        return np.zeros(pixels.shape, dtype=np.uint8)
-    return (pixels / peak >= threshold).astype(np.uint8)
+    return (fused.normalized >= threshold).astype(np.uint8)
 
 
 def _wrap_merge(labeled: np.ndarray, n_regions: int) -> np.ndarray:

@@ -5,16 +5,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
-from .enhance import enhance_layer, fuse, FusedImage
+from .enhance import enhance_layer, fuse
+from .errors import ConfigInvalid
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
 from .pyramid import build_pyramid, build_template, match
 from .ssr import AdaptiveConfig, SsrContext, build_context
 
-FLAT_WEIGHTS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
+# Fusion mode -> flat layer weights (L1, L2, L3) from the SSR weights. The
+# recursive blend G2 = w2*F2 + (1-w2)*up(F3), G1 = w1*F1 + (1-w1)*up(G2) is a
+# flat blend because bilinear upsampling is linear; it never reads w3.
+FUSION_MODES = {
+    "recursive": lambda w1, w2, w3: (w1, (1.0 - w1) * w2, (1.0 - w1) * (1.0 - w2)),
+    "flat": lambda w1, w2, w3: (w1, w2, w3),
+}
+
+# Each detection method as data: (kernel size, flat fusion weights (L1, L2, L3))
+# from the base kernel K_base, the SSR-adaptive kernel K_a and the SSR weights.
+METHOD_PLANS = {
+    "single_scale": lambda k_base, k_a, ssr_weights: (k_base, (1.0, 0.0, 0.0)),
+    "unweighted_multiscale": lambda k_base, k_a, ssr_weights: (k_a, (1 / 3, 1 / 3, 1 / 3)),
+    "adaptive": lambda k_base, k_a, ssr_weights: (k_a, ssr_weights),
+}
+METHODS = tuple(METHOD_PLANS)
+
+
+def method_plan(
+    context: SsrContext,
+    adaptive_cfg: AdaptiveConfig,
+    method: str = "adaptive",
+    fusion_mode: str = "recursive",
+) -> tuple[int, tuple[float, float, float]]:
+    """Kernel size and flat fusion weights (L1, L2, L3) of a method on a record."""
+    if method not in METHOD_PLANS:
+        raise ConfigInvalid(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if fusion_mode not in FUSION_MODES:
+        raise ConfigInvalid(
+            f"unknown fusion mode {fusion_mode!r}; choose from {', '.join(FUSION_MODES)}"
+        )
+    ssr_weights = FUSION_MODES[fusion_mode](*context.weights)
+    return METHOD_PLANS[method](adaptive_cfg.kernel_base, context.kernel_size, ssr_weights)
 
 
 @dataclass
@@ -38,44 +69,22 @@ def process_segment(
 ) -> tuple[list[Detection], float]:
     """Run one segment through matching, enhancement, fusion, and localization.
 
-    Returns the segment's detections and the threshold the stability scan
-    chose. Pure function of its inputs; segments may be processed in parallel.
+    Only the layers from L1 down to the coarsest one with a nonzero weight are
+    matched and enhanced. Returns the segment's detections and the threshold
+    the stability scan chose. Pure function of its inputs; segments may be
+    processed in parallel.
     """
-    if method == "single_scale":
-        template = build_template(adaptive_cfg.kernel_base)
-        kernel_size = adaptive_cfg.kernel_base
-        layers = [np.asarray(image.pixels, dtype=float)]
-    else:
-        template = build_template(context.kernel_size)
-        kernel_size = context.kernel_size
-        layers = list(build_pyramid(image).layers)
-
-    enhanced = []
-    for j, layer in enumerate(layers, start=1):
-        response = match(layer, template)
-        enhanced.append(enhance_layer(response, adaptive_cfg.gamma, j))
-
-    if method == "single_scale":
-        fused = FusedImage(pixels=enhanced[0].envelope_image, weights_used=(1.0, 0.0, 0.0))
-    elif method == "unweighted_multiscale":
-        fused = fuse(tuple(e.envelope_image for e in enhanced), FLAT_WEIGHTS, mode="flat")
-    elif method == "adaptive":
-        fused = fuse(
-            tuple(e.envelope_image for e in enhanced), context.weights, mode=fusion_mode
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    kernel_size, weights = method_plan(context, adaptive_cfg, method, fusion_mode)
+    template = build_template(kernel_size)
+    used = max(j for j, w in enumerate(weights, start=1) if w)
+    layers = build_pyramid(image).layers[:used]
+    enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
+    fused = fuse(tuple(e.envelope_image for e in enhanced), weights)
 
     scan = adaptive_threshold(fused, step=threshold_step)
-    if scan.chosen_threshold >= 1.0 and not scan.thresholds:
-        binary = np.zeros(fused.pixels.shape, dtype=np.uint8)
-    else:
-        binary = binarize(fused, scan.chosen_threshold)
-    norm_peak = fused.pixels.max()
-    normalized = fused.pixels / norm_peak if norm_peak > 0 else fused.pixels
     detections = extract_components(
-        binary,
-        normalized,
+        binarize(fused, scan.chosen_threshold),
+        fused.normalized,
         min_area_px=min_area_px,
         segment_index=image.segment_index,
         origin_sample=image.origin_sample,
@@ -115,10 +124,8 @@ def process_record(
     context = build_context(
         record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg
     )
+    kernel_size, _ = method_plan(context, adaptive_cfg, method, fusion_mode)
     images = preprocess(record, preprocess_cfg)
-    kernel_size = (
-        adaptive_cfg.kernel_base if method == "single_scale" else context.kernel_size
-    )
     result = PipelineResult(detections=[], context=context, kernel_size=kernel_size)
     for image in images:
         detections, threshold = process_segment(

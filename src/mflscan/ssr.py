@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveInput
+from .errors import ConfigInvalid, NonPositiveInput
 
 
 @dataclass(frozen=True)
@@ -22,9 +22,11 @@ class AdaptiveConfig:
     gamma: float = 2.0
 
     def __post_init__(self):
-        for name in ("fs_extreme_hz", "v_extreme_mps", "kernel_base", "alpha", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("fs_extreme_hz", "v_extreme_mps", "alpha", "gamma"):
+            if not getattr(self, name) > 0:
+                raise ConfigInvalid(f"{name} must be > 0")
+        if self.kernel_base < 2:
+            raise ConfigInvalid("kernel_base must be >= 2")
 
     @property
     def f_spatial_extreme(self) -> float:

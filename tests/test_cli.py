@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mflscan import formats
-from mflscan.cli import EXIT_OK, EXIT_PARSE, load_config, main
+from mflscan.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
 from mflscan.ingest import MflRecord
 
@@ -119,6 +119,36 @@ class TestDetect:
             assert "finite" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def optimal_record(tmp_path_factory):
+    out = tmp_path_factory.mktemp("rope") / "rope"
+    main(["generate", "optimal_ssr", "--out", str(out)])
+    return out.with_suffix(".mfl")
+
+
+@pytest.mark.parametrize("line", [
+    "gamma = -1",
+    "method = foo",
+    "fusion_mode = bogus",
+    "image_height = 4",
+    "threshold_step = 0",
+    "segment_length = 3",
+    "kernel_base = 60",
+    "threshold_step = 2",
+])
+def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    capsys.readouterr()
+    code = main(["detect", str(optimal_record), "--config", str(cfg),
+                 "--out", str(tmp_path / "d.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "d.json").exists()
+
+
 class TestEvaluate:
     def test_detection_truth_pairs(self, tmp_path, capsys):
         main(["generate", "optimal_ssr", "--out", str(tmp_path / "rope")])
@@ -163,3 +193,20 @@ class TestInspect:
         assert payload["mu"] == pytest.approx(1.0 / 3.0, abs=1e-4)
         assert payload["K_a"] == 9
         assert sum(payload["weights"]) == pytest.approx(1.0)
+
+    def test_fusion_weights_are_the_applied_ones(self, optimal_record, tmp_path, capsys):
+        # mu = 1/3: recursive fusion applies (w1, (1-w1)*w2, (1-w1)*(1-w2))
+        expected = {
+            "": (1 / 9, 32 / 81, 40 / 81),
+            "fusion_mode = flat": (1 / 9, 4 / 9, 4 / 9),
+            "method = single_scale": (1.0, 0.0, 0.0),
+            "method = unweighted_multiscale": (1 / 3, 1 / 3, 1 / 3),
+        }
+        for line, weights in expected.items():
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(line + "\n")
+            capsys.readouterr()
+            assert main(["inspect", str(optimal_record), "--config", str(cfg)]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["fusion_weights"] == pytest.approx(weights, abs=1e-4)
+            assert payload["weights"] == pytest.approx((1 / 9, 4 / 9, 4 / 9), abs=1e-4)

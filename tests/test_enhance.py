@@ -11,6 +11,10 @@ from mflscan.enhance import (
     upsample_bilinear,
 )
 from mflscan.errors import DimensionMismatch
+from mflscan.ingest import preprocess
+from mflscan.pipeline import process_segment
+from mflscan.ssr import AdaptiveConfig, build_context
+from mflscan.synth import generate, scenario_presets
 
 
 def naive_envelope(enhanced):
@@ -33,6 +37,21 @@ def naive_envelope(enhanced):
         if maxima:
             out[r] = np.maximum(np.interp(cols, maxima, row[maxima]), row)
     return out
+
+
+def naive_recursive_fuse(f1, f2, f3, w1, w2):
+    """Reference recursive blend: G2 = w2*F2 + (1-w2)*up(F3), G1 = w1*F1 + (1-w1)*up(G2)."""
+    g2 = w2 * f2 + (1.0 - w2) * upsample_bilinear(f3, f2.shape)
+    return w1 * f1 + (1.0 - w1) * upsample_bilinear(g2, f1.shape)
+
+
+def naive_flat_fuse(f1, f2, f3, w1, w2, w3):
+    """Reference flat blend with three upsamples: w1*F1 + w2*up(F2) + w3*up(up(F3))."""
+    return (
+        w1 * f1
+        + w2 * upsample_bilinear(f2, f1.shape)
+        + w3 * upsample_bilinear(upsample_bilinear(f3, f2.shape), f1.shape)
+    )
 
 
 class TestGammaEnhance:
@@ -168,9 +187,33 @@ class TestFuse:
         f2 = np.full((4, 4), 0.4)
         f3 = np.full((2, 2), 0.4)
         for weights in ((0.25, 0.5, 0.25), (0.6, 0.3, 0.1)):
-            for mode in ("recursive", "flat"):
-                out = fuse((f1, f2, f3), weights, mode=mode)
-                assert np.allclose(out.pixels, 0.4)
+            out = fuse((f1, f2, f3), weights)
+            assert np.allclose(out.pixels, 0.4)
+
+    def test_matches_naive_oracles(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            shape = (int(rng.integers(4, 41)), int(rng.integers(4, 41)))  # odd sizes too
+            f1 = rng.uniform(0, 1, size=shape)
+            f2 = rng.uniform(0, 1, size=(shape[0] // 2, shape[1] // 2))
+            f3 = rng.uniform(0, 1, size=(shape[0] // 4, shape[1] // 4))
+            w1, w2, w3 = rng.dirichlet((1.0, 1.0, 1.0))
+            flat = fuse((f1, f2, f3), (w1, w2, w3)).pixels
+            assert np.allclose(flat, naive_flat_fuse(f1, f2, f3, w1, w2, w3),
+                               rtol=0, atol=1e-12)
+            effective = (w1, (1 - w1) * w2, (1 - w1) * (1 - w2))
+            recursive = fuse((f1, f2, f3), effective).pixels
+            assert np.allclose(recursive, naive_recursive_fuse(f1, f2, f3, w1, w2),
+                               rtol=0, atol=1e-12)
+
+    def test_fewer_layers(self):
+        f1, f2, f3 = self._layers(seed=8)
+        assert np.array_equal(fuse((f1,), (1.0, 0.0, 0.0)).pixels, f1)
+        two = fuse((f1, f2), (0.7, 0.3, 0.0)).pixels
+        assert np.allclose(two, naive_flat_fuse(f1, f2, f3, 0.7, 0.3, 0.0),
+                           rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            fuse((f1, f2), (0.5, 0.3, 0.2))  # L3 has weight but is missing
 
     def test_convexity_bounds(self):
         f1, f2, f3 = self._layers(seed=5)
@@ -196,9 +239,14 @@ class TestFuse:
             fuse((np.zeros((8, 8)), np.zeros((5, 4)), np.zeros((2, 2))), (1, 0, 0))
 
     def test_unknown_mode_rejected(self):
-        f1, f2, f3 = self._layers()
+        record, _ = generate(scenario_presets()["optimal_ssr"])
+        cfg = AdaptiveConfig()
+        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+        image = preprocess(record)[0]
         with pytest.raises(ValueError):
-            fuse((f1, f2, f3), (1, 0, 0), mode="pyramidal")
+            process_segment(image, context, cfg, fusion_mode="pyramidal")
+        with pytest.raises(ValueError):
+            process_segment(image, context, cfg, method="foo")
 
     def test_result_type(self):
         out = fuse(self._layers(), (0.5, 0.3, 0.2))

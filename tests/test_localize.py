@@ -54,6 +54,21 @@ class TestAdaptiveThreshold:
         assert counts[scan.thresholds.index(0.7)] == 1
         assert scan.chosen_threshold == pytest.approx(0.75)
 
+    def test_rejects_step_outside_unit_interval(self):
+        img = np.eye(5)
+        for step in (0.0, -0.1, 1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError):
+                adaptive_threshold(fused(img), step=step)
+
+    def test_every_count_at_least_one(self):
+        rng = np.random.default_rng(12)
+        for step in (0.05, 0.1, 1 / 3, 0.3, 0.9):
+            for _ in range(20):
+                img = rng.uniform(0, 1, size=(12, 12)) ** 4
+                scan = adaptive_threshold(fused(img), step=step)
+                assert scan.thresholds and min(scan.region_counts) >= 1
+                assert 0 < scan.chosen_threshold <= 1
+
     def test_thresholds_strictly_increasing(self):
         img = np.zeros((10, 10))
         img[4, 4] = 1.0

@@ -1,0 +1,82 @@
+"""Methods as data: the method table, layer skipping, and the μ = 1 limit."""
+
+from dataclasses import replace
+
+import pytest
+
+from mflscan import pipeline
+from mflscan.ingest import preprocess
+from mflscan.pipeline import METHODS, method_plan, process_record, process_segment
+from mflscan.ssr import AdaptiveConfig, build_context
+from mflscan.synth import generate, scenario_presets
+
+
+@pytest.fixture(scope="module")
+def optimal():
+    record, _ = generate(scenario_presets()["optimal_ssr"])
+    cfg = AdaptiveConfig()
+    context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+    return record, cfg, context
+
+
+class TestMethodPlan:
+    def test_table(self, optimal):
+        _, cfg, context = optimal
+        w1, w2, w3 = context.weights
+        assert method_plan(context, cfg, "single_scale") == (cfg.kernel_base, (1.0, 0.0, 0.0))
+        assert method_plan(context, cfg, "unweighted_multiscale") == (
+            context.kernel_size, (1 / 3, 1 / 3, 1 / 3)
+        )
+        assert method_plan(context, cfg, "adaptive", "flat") == (context.kernel_size, (w1, w2, w3))
+        kernel, weights = method_plan(context, cfg, "adaptive", "recursive")
+        assert kernel == context.kernel_size
+        assert weights == pytest.approx((w1, (1 - w1) * w2, (1 - w1) * (1 - w2)), abs=1e-15)
+        assert sum(weights) == pytest.approx(1.0)
+
+    def test_unknown_names_rejected(self, optimal):
+        _, cfg, context = optimal
+        with pytest.raises(ValueError, match="method"):
+            method_plan(context, cfg, "foo")
+        with pytest.raises(ValueError, match="fusion mode"):
+            method_plan(context, cfg, "adaptive", "pyramidal")
+
+    def test_record_kernel_size_from_plan(self, optimal):
+        record, cfg, context = optimal
+        for method in METHODS:
+            result = process_record(record, method=method)
+            assert result.kernel_size == method_plan(context, cfg, method)[0]
+
+
+class TestLayerSkipping:
+    def test_match_calls_per_segment(self, optimal, monkeypatch):
+        record, cfg, context = optimal
+        image = preprocess(record)[0]
+        calls = []
+        match = pipeline.match
+
+        def counting_match(layer, template):
+            calls.append(layer.shape)
+            return match(layer, template)
+
+        monkeypatch.setattr(pipeline, "match", counting_match)
+        for method, expected in (
+            ("single_scale", 1), ("unweighted_multiscale", 3), ("adaptive", 3)
+        ):
+            calls.clear()
+            process_segment(image, context, cfg, method=method)
+            assert len(calls) == expected, method
+            assert calls[0] == image.pixels.shape
+
+    def test_adaptive_equals_single_scale_at_unit_mu(self):
+        # f_spatial = 250 / 2.0 = 125 samples/m, below the extreme reference
+        # (250 / 1.5), so mu = 1: weights (1, 0, 0) and K_a = K_base
+        preset = scenario_presets()["low_ssr"]
+        spec = replace(preset, inspection_speed_mps=2.0, rope_length_m=801 / 125.0)
+        record, _ = generate(spec)
+        adaptive = process_record(record, method="adaptive")
+        single = process_record(record, method="single_scale")
+        assert adaptive.context.mu == 1.0
+        assert adaptive.kernel_size == single.kernel_size == AdaptiveConfig().kernel_base
+        assert adaptive.detections
+        assert adaptive.detections == single.detections
+        assert adaptive.chosen_thresholds == single.chosen_thresholds

@@ -151,13 +151,15 @@ def cmd_evaluate(args) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         cfg = load_config(args.config) if args.config else RunConfig()
+        if "method" in cfg.run:
+            raise ConfigInvalid("method cannot be set with --ablation, which runs every method")
         dataset = [
             (formats.read_record(rec), formats.read_ground_truth(tru))
             for rec, tru in zip(args.record, args.truth)
         ]
         for method in METHODS:
             reports[method] = run_ablation(
-                dataset, method, cfg.preprocess_cfg(), cfg.adaptive_cfg()
+                dataset, method, cfg.preprocess_cfg(), cfg.adaptive_cfg(), **cfg.run
             )
     else:
         if not args.det or len(args.det) != len(args.truth):

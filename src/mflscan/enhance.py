@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .errors import DimensionMismatch
 
@@ -116,14 +115,20 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
 
 
 def upsample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize to an exact target shape (area-aligned sample centers)."""
-    src = np.asarray(src, dtype=float)
-    ht, wt = shape
-    hs, ws = src.shape
-    rows = np.clip((np.arange(ht) + 0.5) * (hs / ht) - 0.5, 0, hs - 1)
-    cols = np.clip((np.arange(wt) + 0.5) * (ws / wt) - 0.5, 0, ws - 1)
-    grid = np.meshgrid(rows, cols, indexing="ij")
-    return map_coordinates(src, grid, order=1, mode="nearest")
+    """Bilinear resize to an exact target shape (area-aligned sample centers).
+
+    Separable: a two-tap pass along the rows, then one along the columns. Each
+    pass clamps the sample positions to the source and blends the samples at
+    floor(pos) and the next one (clamped) with weights (1 - f, f).
+    """
+    out = np.asarray(src, dtype=float)
+    for axis, target in enumerate(shape):
+        n = out.shape[axis]
+        pos = np.clip((np.arange(target) + 0.5) * (n / target) - 0.5, 0, n - 1)
+        lo = pos.astype(int)
+        f = np.expand_dims(pos - lo, 1 - axis)
+        out = (1.0 - f) * out.take(lo, axis) + f * out.take(np.minimum(lo + 1, n - 1), axis)
+    return out
 
 
 def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> FusedImage:

@@ -5,16 +5,16 @@ class MflError(Exception):
     """Base class for all mflscan errors."""
 
 
-class RecordTooShort(MflError):
-    """Record has fewer axial samples than an operation requires."""
-
-
 class NonPositiveInput(MflError):
     """A quantity that must be strictly positive was zero or negative."""
 
 
 class ConfigInvalid(MflError, ValueError):
-    """A setting is out of range, or too small for the record it runs on."""
+    """A setting is out of range, or does not fit the record it runs on."""
+
+
+class RecordTooShort(ConfigInvalid):
+    """A window or segment setting needs more axial samples than the record has."""
 
 
 class ImageTooSmall(ConfigInvalid):

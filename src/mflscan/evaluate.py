@@ -78,12 +78,22 @@ def match_detections(
     return tp, fp, fn
 
 
-def run_ablation(dataset, method_tag: str, preprocess_cfg=None, adaptive_cfg=None) -> EvalReport:
+def run_ablation(
+    dataset,
+    method_tag: str,
+    preprocess_cfg=None,
+    adaptive_cfg=None,
+    *,
+    fusion_mode: str = "recursive",
+    min_area_px: int = 4,
+    threshold_step: float = 0.05,
+) -> EvalReport:
     """Run the full pipeline on (record, truths) pairs and aggregate counts.
 
     single_scale uses layer 1 with the base kernel and no fusion;
     unweighted_multiscale fuses with flat (1/3, 1/3, 1/3) weights; adaptive is
-    the complete SSR-adaptive pipeline (see `pipeline.METHOD_PLANS`).
+    the complete SSR-adaptive pipeline (see `pipeline.METHOD_PLANS`). The
+    keyword settings go to `pipeline.process_record` unchanged.
     """
     if method_tag not in METHODS:
         raise ValueError(f"unknown method {method_tag!r}")
@@ -96,6 +106,9 @@ def run_ablation(dataset, method_tag: str, preprocess_cfg=None, adaptive_cfg=Non
             preprocess_cfg=preprocess_cfg,
             adaptive_cfg=adaptive_cfg,
             method=method_tag,
+            fusion_mode=fusion_mode,
+            min_area_px=min_area_px,
+            threshold_step=threshold_step,
         )
         counts = match_detections(
             result.detections,

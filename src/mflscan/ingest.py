@@ -27,8 +27,8 @@ class MflRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2 or samples.shape[1] < 2:
-            raise ValueError("samples must be an M x N matrix with N >= 2")
+        if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 2:
+            raise ValueError("samples must be an M x N matrix with M >= 1 and N >= 2")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
         rates = (self.sampling_rate_hz, self.inspection_speed_mps)
@@ -85,7 +85,7 @@ def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
     la = cfg.half_span_la
     if m_count < 2 * la:
         raise RecordTooShort(
-            f"record has {m_count} samples, detrending needs at least {2 * la}"
+            f"record has {m_count} samples, half_span_la = {la} needs at least {2 * la}"
         )
     csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
     idx = np.arange(m_count)
@@ -115,7 +115,9 @@ def interpolate_radial(normalized: np.ndarray, height: int) -> np.ndarray:
 
     The channel axis is treated as circular (the sensors form a ring, so the
     last channel neighbors the first); a periodic cubic spline interpolates
-    each row and the result is clamped back to [-1, 1].
+    each row and the result is clamped back to [-1, 1]. The spline is linear
+    in the data, so it is evaluated once on the N x N identity and applied to
+    every row as one N x height matrix.
     """
     data = np.asarray(normalized, dtype=float)
     n = data.shape[1]
@@ -124,11 +126,13 @@ def interpolate_radial(normalized: np.ndarray, height: int) -> np.ndarray:
     if height < n:
         raise ConfigInvalid(f"image height {height} is below the channel count {n}")
     knots = np.arange(n + 1, dtype=float)
-    wrapped = np.concatenate([data, data[:, :1]], axis=1)
+    wrapped = np.eye(n)[:, np.arange(n + 1) % n]  # row i: channel i alone at 1, periodic
     spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
-    positions = np.arange(height) * (n / height)
-    out = spline(positions)
-    return np.clip(out, -1.0, 1.0)
+    basis = spline(np.arange(height) * (n / height))
+    # einsum runs on this thread; `@` would hand this size to the threaded
+    # BLAS, whose idle worker keeps spinning on a core after the call
+    out = np.einsum("mn,nh->mh", data, basis)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def segment(f: np.ndarray, length: int) -> list[MflImage]:
@@ -141,7 +145,7 @@ def segment(f: np.ndarray, length: int) -> list[MflImage]:
     m_count = f.shape[0]
     if m_count < length:
         raise RecordTooShort(
-            f"record has {m_count} interpolated samples, segmenting needs {length}"
+            f"record has {m_count} samples, segment_length = {length} needs at least {length}"
         )
     count = m_count // length
     images = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
-from scipy.ndimage import label
+from scipy.ndimage import find_objects, label
 
 from .enhance import FusedImage
 from .errors import ConfigInvalid
@@ -57,9 +57,14 @@ def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     count = int(math.ceil(1.0 / step)) - 1
     thresholds = [round((i + 1) * step, 12) for i in range(count)]
+    row_peak, col_peak = norm.max(axis=1), norm.max(axis=0)
     counts = []
     for t in thresholds:
-        _, n_regions = label(norm >= t, structure=EIGHT_CONNECTED)
+        # every pixel >= t lies in this window, so labeling it alone counts
+        # the same regions as labeling the whole image
+        rows, cols = np.flatnonzero(row_peak >= t), np.flatnonzero(col_peak >= t)
+        window = norm[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+        _, n_regions = label(window >= t, structure=EIGHT_CONNECTED)
         counts.append(n_regions)
 
     best, start = (0, 0, 0), 0  # (length, first, last) of the longest plateau
@@ -133,17 +138,16 @@ def extract_components(
     labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
     if radial_wrap and n_regions > 1:
         labeled = _wrap_merge(labeled, n_regions)
+    areas = np.bincount(labeled.ravel(), minlength=n_regions + 1)
+    sums = np.bincount(labeled.ravel(), weights=intensity.ravel(), minlength=n_regions + 1)
     detections = []
-    for idx in np.unique(labeled):
-        if idx == 0:
+    # labels merged away across the seam have no box (None)
+    for idx, box in enumerate(find_objects(labeled), start=1):
+        if box is None or areas[idx] < min_area_px:
             continue
-        mask = labeled == idx
-        if mask.sum() < min_area_px:
-            continue
-        rows, cols = np.nonzero(mask)
-        r0, r1 = int(rows.min()), int(rows.max())
-        a0, a1 = int(cols.min()), int(cols.max())
-        score = float(intensity[mask].mean())
+        r0, r1 = box[0].start, box[0].stop - 1
+        a0, a1 = box[1].start, box[1].stop - 1
+        score = float(sums[idx] / areas[idx])
         if f_spatial > 0:
             start_m = (origin_sample + a0) / f_spatial
             end_m = (origin_sample + a1 + 1) / f_spatial

@@ -149,6 +149,32 @@ def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys)
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize("line", ["half_span_la = 100000", "segment_length = 100000"])
+def test_config_too_large_for_record_is_usage_error(line, optimal_record, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    capsys.readouterr()
+    code = main(["detect", str(optimal_record), "--config", str(cfg),
+                 "--out", str(tmp_path / "d.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("empty.mfl", b"MFL1" + struct.pack("<IIdd", 0, 16, 250.0, 0.5)),
+    ("empty.csv", b"# sampling_rate_hz=250.0, speed_mps=0.5, channels=16\n"),
+], ids=("mfl1", "csv"))
+def test_record_without_samples_is_parse_error(name, content, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    code = main(["detect", str(path), "--out", str(tmp_path / "d.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestEvaluate:
     def test_detection_truth_pairs(self, tmp_path, capsys):
         main(["generate", "optimal_ssr", "--out", str(tmp_path / "rope")])
@@ -180,6 +206,31 @@ class TestEvaluate:
         assert set(payload["reports"]) == {
             "single_scale", "unweighted_multiscale", "adaptive"
         }
+
+    @pytest.mark.parametrize("line", ["method = foo", "method = adaptive",
+                                      "fusion_mode = bogus", "threshold_step = 2"])
+    def test_ablation_bad_run_key_is_usage_error(self, line, optimal_record, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        truth = optimal_record.parent / "rope_truth.json"
+        capsys.readouterr()
+        code = main(["evaluate", "--ablation", "--record", str(optimal_record),
+                     "--truth", str(truth), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ablation_honours_run_keys(self, optimal_record, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_area_px = 1000000\n")  # larger than any component
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--ablation", "--record", str(optimal_record),
+                     "--truth", str(optimal_record.parent / "rope_truth.json"),
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        reports = json.loads(out.read_text())["reports"]
+        assert all((rep["tp"], rep["fp"], rep["fn"]) == (0, 0, 4) for rep in reports.values())
 
 
 class TestInspect:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from mflscan.enhance import (
     FusedImage,
@@ -39,18 +40,29 @@ def naive_envelope(enhanced):
     return out
 
 
+def naive_upsample_bilinear(src, shape):
+    """Reference for `upsample_bilinear`: map_coordinates (order 1, nearest
+    edges) on the full grid of area-aligned, clamped sample centers."""
+    ht, wt = shape
+    hs, ws = src.shape
+    rows = np.clip((np.arange(ht) + 0.5) * (hs / ht) - 0.5, 0, hs - 1)
+    cols = np.clip((np.arange(wt) + 0.5) * (ws / wt) - 0.5, 0, ws - 1)
+    grid = np.meshgrid(rows, cols, indexing="ij")
+    return map_coordinates(src, grid, order=1, mode="nearest")
+
+
 def naive_recursive_fuse(f1, f2, f3, w1, w2):
     """Reference recursive blend: G2 = w2*F2 + (1-w2)*up(F3), G1 = w1*F1 + (1-w1)*up(G2)."""
-    g2 = w2 * f2 + (1.0 - w2) * upsample_bilinear(f3, f2.shape)
-    return w1 * f1 + (1.0 - w1) * upsample_bilinear(g2, f1.shape)
+    g2 = w2 * f2 + (1.0 - w2) * naive_upsample_bilinear(f3, f2.shape)
+    return w1 * f1 + (1.0 - w1) * naive_upsample_bilinear(g2, f1.shape)
 
 
 def naive_flat_fuse(f1, f2, f3, w1, w2, w3):
     """Reference flat blend with three upsamples: w1*F1 + w2*up(F2) + w3*up(up(F3))."""
     return (
         w1 * f1
-        + w2 * upsample_bilinear(f2, f1.shape)
-        + w3 * upsample_bilinear(upsample_bilinear(f3, f2.shape), f1.shape)
+        + w2 * naive_upsample_bilinear(f2, f1.shape)
+        + w3 * naive_upsample_bilinear(naive_upsample_bilinear(f3, f2.shape), f1.shape)
     )
 
 
@@ -161,6 +173,20 @@ class TestUpsampleBilinear:
         out = upsample_bilinear(src, (16, 16))
         assert out.min() >= src.min() - 1e-12
         assert out.max() <= src.max() + 1e-12
+
+    def test_matches_map_coordinates_oracle(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            src_shape = tuple(int(n) for n in rng.integers(1, 30, size=2))
+            if rng.uniform() < 0.5:  # the pyramid's case: undo a halving, odd sizes too
+                shape = tuple(2 * n + int(rng.integers(0, 2)) for n in src_shape)
+            else:  # any resize, shrinking included
+                shape = tuple(int(n) for n in rng.integers(1, 70, size=2))
+            src = rng.normal(size=src_shape)
+            np.testing.assert_allclose(
+                upsample_bilinear(src, shape), naive_upsample_bilinear(src, shape),
+                rtol=0, atol=1e-12,
+            )
 
 
 class TestFuse:

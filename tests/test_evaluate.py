@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mflscan.errors import ConfigInvalid
 from mflscan.evaluate import (
     EvalReport,
     format_report_table,
@@ -141,6 +142,15 @@ class TestRunAblation:
         a = run_ablation(dataset, "adaptive")
         b = run_ablation(dataset, "adaptive")
         assert (a.tp, a.fp, a.fn) == (b.tp, b.fp, b.fn)
+
+    def test_run_settings_reach_the_pipeline(self):
+        preset = scenario_presets()["optimal_ssr"]
+        dataset = make_eval_dataset(preset, 1, base_seed=0)
+        report = run_ablation(dataset, "adaptive", min_area_px=10**6)
+        assert (report.tp, report.fp) == (0, 0)
+        for bad in ({"fusion_mode": "bogus"}, {"threshold_step": 0.0}):
+            with pytest.raises(ConfigInvalid):
+                run_ablation(dataset, "adaptive", **bad)
 
     def test_optimal_preset_record_fully_detected(self):
         preset = scenario_presets()["optimal_ssr"]

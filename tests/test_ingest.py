@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from mflscan.errors import RecordTooShort
+from mflscan.errors import ConfigInvalid, RecordTooShort
 from mflscan.ingest import (
     MflRecord,
     PreprocessConfig,
@@ -20,12 +21,28 @@ def make_record(samples, fs=250.0, v=0.5):
                      inspection_speed_mps=v)
 
 
+def naive_interpolate_radial(data, height):
+    """Reference for `interpolate_radial`: one periodic CubicSpline per row."""
+    n = data.shape[1]
+    knots = np.arange(n + 1, dtype=float)
+    positions = np.arange(height) * (n / height)
+    rows = [
+        CubicSpline(knots, np.append(row, row[0]), bc_type="periodic")(positions)
+        for row in data
+    ]
+    return np.clip(np.array(rows).reshape(len(data), height), -1.0, 1.0)
+
+
 class TestRecordValidation:
     def test_rejects_non_finite_samples(self):
         bad = np.zeros((10, 4))
         bad[3, 1] = np.nan
         with pytest.raises(ValueError):
             make_record(bad)
+
+    def test_rejects_empty_record(self):
+        with pytest.raises(ValueError):
+            make_record(np.zeros((0, 16)))
 
     def test_rejects_single_channel(self):
         with pytest.raises(ValueError):
@@ -80,9 +97,11 @@ class TestDetrend:
             assert np.allclose(y[m], expected, atol=1e-12)
 
     def test_too_short_record_rejected(self):
+        # a window too wide for the record is a config error that names its key
         rec = make_record(np.zeros((30, 2)))
-        with pytest.raises(RecordTooShort):
+        with pytest.raises(RecordTooShort, match="half_span_la = 20") as info:
             detrend(rec, PreprocessConfig(half_span_la=20))
+        assert isinstance(info.value, ConfigInvalid)
 
     def test_idempotent_on_trendless_input(self):
         rng = np.random.default_rng(11)
@@ -148,6 +167,17 @@ class TestInterpolateRadial:
         out = interpolate_radial(row, 64)
         assert out[0, 63] > 0.1  # quarter-step past the last channel
 
+    def test_matches_per_row_spline_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            n = int(rng.integers(2, 25))
+            height = int(rng.integers(n, 4 * n + 8))  # odd and non-multiple heights too
+            data = rng.uniform(-1, 1, size=(int(rng.integers(1, 40)), n))
+            np.testing.assert_allclose(
+                interpolate_radial(data, height), naive_interpolate_radial(data, height),
+                rtol=0, atol=1e-12,
+            )
+
     def test_output_height(self):
         out = interpolate_radial(np.zeros((7, 16)), 200)
         assert out.shape == (7, 200)
@@ -174,7 +204,7 @@ class TestSegment:
         assert len(segment(f, 200)) == 1
 
     def test_record_shorter_than_segment_rejected(self):
-        with pytest.raises(RecordTooShort):
+        with pytest.raises(RecordTooShort, match="segment_length = 200"):
             segment(np.zeros((150, 4)), 200)
 
     def test_segments_partition_exactly(self):

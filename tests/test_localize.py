@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import label
 
 from mflscan.enhance import FusedImage
 from mflscan.localize import (
+    EIGHT_CONNECTED,
+    _wrap_merge,
     adaptive_threshold,
     binarize,
     extract_components,
@@ -14,6 +17,44 @@ from mflscan.localize import (
 def fused(pixels):
     return FusedImage(pixels=np.asarray(pixels, dtype=float),
                       weights_used=(1.0, 0.0, 0.0))
+
+
+def naive_region_counts(norm, thresholds):
+    """Reference for the threshold scan: one full-image label pass per threshold."""
+    return tuple(label(norm >= t, structure=EIGHT_CONNECTED)[1] for t in thresholds)
+
+
+def naive_extract_components(binary, intensity, min_area_px, radial_wrap):
+    """Reference for `extract_components`: one full-image mask per label.
+
+    Returns (box, score) pairs in the order extract_components emits them.
+    """
+    labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
+    if radial_wrap and n_regions > 1:
+        labeled = _wrap_merge(labeled, n_regions)
+    found = []
+    for idx in np.unique(labeled):
+        if idx == 0:
+            continue
+        mask = labeled == idx
+        if mask.sum() < min_area_px:
+            continue
+        rows, cols = np.nonzero(mask)
+        box = (int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max()))
+        found.append((box, float(intensity[mask].mean())))
+    found.sort(key=lambda item: item[0][0])
+    return found
+
+
+def random_blobs(rng, shape, levels):
+    """A sparse image of random rectangles on faint noise, quantized to
+    `levels` steps so that many pixels sit exactly on a threshold (plateaus)."""
+    h, w = shape
+    img = rng.uniform(0, 0.3, size=shape) * (rng.uniform(size=shape) < 0.3)
+    for _ in range(rng.integers(1, 8)):
+        r, c = rng.integers(0, h), rng.integers(0, w)
+        img[r : r + rng.integers(1, 6), c : c + rng.integers(1, 6)] = rng.uniform(0.2, 1)
+    return np.round(img * levels) / levels
 
 
 class TestAdaptiveThreshold:
@@ -68,6 +109,18 @@ class TestAdaptiveThreshold:
                 scan = adaptive_threshold(fused(img), step=step)
                 assert scan.thresholds and min(scan.region_counts) >= 1
                 assert 0 < scan.chosen_threshold <= 1
+
+    def test_region_counts_match_full_image_oracle(self):
+        rng = np.random.default_rng(21)
+        for step in (0.05, 0.1, 1 / 3):
+            for _ in range(60):
+                shape = tuple(rng.integers(1, 41, size=2))
+                img = random_blobs(rng, shape, levels=int(rng.integers(2, 21)))
+                if not img.any():
+                    continue
+                scan = adaptive_threshold(fused(img), step=step)
+                norm = img / img.max()
+                assert scan.region_counts == naive_region_counts(norm, scan.thresholds)
 
     def test_thresholds_strictly_increasing(self):
         img = np.zeros((10, 10))
@@ -170,3 +223,29 @@ class TestExtractComponents:
         binary[2:5, 5:8] = 1
         dets = extract_components(binary, min_area_px=4)
         assert [d.box[0] for d in dets] == [5, 30]
+
+    def test_matches_mask_loop_oracle(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 41, size=2))
+            img = random_blobs(rng, shape, levels=int(rng.integers(2, 21)))
+            if rng.uniform() < 0.5:  # blobs across the top/bottom seam
+                img[0, rng.integers(0, shape[1])] = img[-1, rng.integers(0, shape[1])] = 1.0
+            binary = (img >= rng.uniform(0.05, 0.9)).astype(np.uint8)
+            min_area = int(rng.integers(1, 6))
+            radial_wrap = bool(rng.uniform() < 0.7)
+            dets = extract_components(binary, img, min_area, radial_wrap=radial_wrap)
+            expected = naive_extract_components(binary, img, min_area, radial_wrap)
+            assert [d.box for d in dets] == [box for box, _ in expected]
+            np.testing.assert_allclose(
+                [d.score for d in dets], [score for _, score in expected], rtol=0, atol=1e-12
+            )
+
+    def test_seam_merge_leaves_label_gaps(self):
+        # three blobs; the top and bottom ones merge, so one label has no box
+        binary = np.zeros((12, 12), dtype=np.uint8)
+        binary[0:2, 3:6] = 1
+        binary[5:7, 8:11] = 1
+        binary[10:12, 5:8] = 1
+        dets = extract_components(binary, min_area_px=4, radial_wrap=True)
+        assert [d.box for d in dets] == [(3, 7, 0, 11), (8, 10, 5, 6)]

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -221,7 +222,9 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process and then reused."""
     parser = argparse.ArgumentParser(
         prog="mflscan",
         description="Detect local flaws in steel wire ropes from MFL records.",

@@ -54,23 +54,31 @@ def _maxima_mask(enhanced: np.ndarray) -> np.ndarray:
 
     A maximal run of equal values [s, e] is a maximum when it touches neither
     end of its row and both neighbours are strictly lower; it is marked at
-    (s + e) // 2.
+    (s + e) // 2. That is two terms: the strict maxima (runs of one pixel,
+    one comparison per neighbour), and the centres of the plateaus (runs of
+    two or more), found from the equal neighbour pairs alone, which are few.
     """
     h, w = enhanced.shape
-    mask = np.zeros(h * w, dtype=bool)
+    mask = np.zeros((h, w), dtype=bool)
     if w < 3:
-        return mask.reshape(h, w)
-    flat = enhanced.ravel()
-    differs = enhanced[:, 1:] != enhanced[:, :-1]
-    edge = np.ones((h, 1), dtype=bool)
-    # runs break at every row boundary, so flat indices never mix rows
-    starts = np.flatnonzero(np.hstack([edge, differs]))
-    ends = np.flatnonzero(np.hstack([differs, edge]))
-    interior = (starts % w > 0) & (ends % w < w - 1)
-    starts, ends = starts[interior], ends[interior]
-    peak = (flat[starts - 1] < flat[starts]) & (flat[ends + 1] < flat[ends])
-    mask[(starts[peak] + ends[peak]) // 2] = True
-    return mask.reshape(h, w)
+        return mask
+    mid = enhanced[:, 1:-1]
+    np.greater(mid, enhanced[:, :-2], out=mask[:, 1:-1])
+    mask[:, 1:-1] &= mid > enhanced[:, 2:]
+    pairs = np.flatnonzero(enhanced[:, 1:] == enhanced[:, :-1])
+    if pairs.size:
+        # pair (r, c) says x[c] == x[c + 1]; at flat index r * w + c, pairs of
+        # one run are consecutive and never join across a row (c <= w - 2)
+        pairs += pairs // (w - 1)
+        cut = np.flatnonzero(np.diff(pairs) != 1)
+        starts = pairs[np.append(0, cut + 1)]
+        ends = pairs[np.append(cut, pairs.size - 1)] + 1
+        flat = enhanced.ravel()
+        peak = (starts % w > 0) & (ends % w < w - 1)
+        starts, ends = starts[peak], ends[peak]
+        peak = (flat[starts - 1] < flat[starts]) & (flat[ends + 1] < flat[ends])
+        mask.ravel()[(starts[peak] + ends[peak]) // 2] = True
+    return mask
 
 
 def _row_maxima(row: np.ndarray) -> list[int]:
@@ -89,28 +97,31 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     both neighbouring maxima. Its fixed points are the rows with at most one
     interior maximum.
 
-    All rows go through one np.interp over flat indices r * W + c, each row
-    bracketed by knots at columns 0 and W - 1 that hold its first and last
-    maximum. Knot gaps are exact integers, so this equals a per-row np.interp
-    bit for bit.
+    The rows that hold a maximum go through one np.interp over flat indices
+    i * W + c. Their knots are the maxima plus columns 0 and W - 1, read off
+    the mask in order, so no sort is needed; the column-0 knot takes the value
+    of the row's first maximum, the column-(W - 1) knot that of its last.
+    Knot gaps are exact integers, so this equals a per-row np.interp bit for
+    bit.
     """
     enhanced = np.asarray(enhanced, dtype=float)
     out = enhanced.copy()
     w = enhanced.shape[1]
-    knots = np.flatnonzero(_maxima_mask(enhanced))
-    if knots.size == 0:
+    mask = _maxima_mask(enhanced)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         return out
-    row_of = knots // w
-    first = np.flatnonzero(np.diff(row_of, prepend=-1))
-    last = np.append(first[1:], knots.size) - 1
-    rows = row_of[first]
-    values = enhanced.ravel()[knots]
-    xp = np.concatenate([rows * w, knots, rows * w + w - 1])
-    fp = np.concatenate([values[first], values, values[last]])
-    order = np.argsort(xp)
-    x = (rows[:, None] * w + np.arange(w)).ravel()
-    interp = np.interp(x, xp[order], fp[order]).reshape(rows.size, w)
-    out[rows] = np.maximum(interp, enhanced[rows])
+    knots = mask[rows]
+    knots[:, 0] = knots[:, -1] = True
+    xp = np.flatnonzero(knots)
+    values = enhanced[rows]
+    fp = values.ravel()[xp]
+    first = np.searchsorted(xp, np.arange(rows.size) * w)
+    last = np.append(first[1:], xp.size) - 1
+    fp[first] = fp[first + 1]
+    fp[last] = fp[last - 1]
+    interp = np.interp(np.arange(rows.size * w, dtype=float), xp, fp).reshape(rows.size, w)
+    out[rows] = np.maximum(interp, values, out=interp)
     return out
 
 

@@ -130,6 +130,8 @@ def extract_components(
     With radial_wrap, components touching across the top/bottom edge are
     merged (the radial axis is circular on a ring sensor array).
     """
+    if min_area_px < 1:
+        raise ConfigInvalid(f"min_area_px {min_area_px} must be >= 1")
     binary = np.asarray(binary)
     if intensity is None:
         intensity = binary.astype(float)

@@ -10,7 +10,7 @@ from .enhance import enhance_layer, fuse
 from .errors import ConfigInvalid
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
-from .pyramid import build_pyramid, build_template, match
+from .pyramid import build_pyramid, build_template, check_kernel_fits, match
 from .ssr import AdaptiveConfig, SsrContext, build_context
 
 # Fusion mode -> flat layer weights (L1, L2, L3) from the SSR weights. The
@@ -75,9 +75,10 @@ def process_segment(
     processed in parallel.
     """
     kernel_size, weights = method_plan(context, adaptive_cfg, method, fusion_mode)
-    template = build_template(kernel_size)
     used = max(j for j, w in enumerate(weights, start=1) if w)
     layers = build_pyramid(image).layers[:used]
+    check_kernel_fits(layers[-1].shape, kernel_size)  # before a K x K template exists
+    template = build_template(kernel_size)
     enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
     fused = fuse(tuple(e.envelope_image for e in enhanced), weights)
 

@@ -61,6 +61,12 @@ def build_template(size: int) -> FlawTemplate:
     return FlawTemplate(kernel=kernel, size=size)
 
 
+def check_kernel_fits(shape: tuple[int, ...], size: int) -> None:
+    """Refuse a kernel larger than a layer along either axis."""
+    if shape[0] < size or shape[1] < size:
+        raise LayerSmallerThanKernel(f"layer {shape} smaller than kernel size {size}")
+
+
 def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
     """Cross-correlate a pyramid layer with the flaw template, same-size output.
 
@@ -77,10 +83,7 @@ def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
     """
     layer = np.asarray(layer, dtype=float)
     k = template.size
-    if layer.shape[0] < k or layer.shape[1] < k:
-        raise LayerSmallerThanKernel(
-            f"layer {layer.shape} smaller than kernel size {k}"
-        )
+    check_kernel_fits(layer.shape, k)
     origin = -1 if k % 2 == 0 else 0
     radial = correlate1d(layer, np.ones(k), axis=0, mode="wrap", origin=origin)
     response = correlate1d(

@@ -23,8 +23,9 @@ class AdaptiveConfig:
 
     def __post_init__(self):
         for name in ("fs_extreme_hz", "v_extreme_mps", "alpha", "gamma"):
-            if not getattr(self, name) > 0:
-                raise ConfigInvalid(f"{name} must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigInvalid(f"{name} must be finite and > 0, not {value}")
         if self.kernel_base < 2:
             raise ConfigInvalid("kernel_base must be >= 2")
 

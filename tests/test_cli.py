@@ -134,7 +134,13 @@ def optimal_record(tmp_path_factory):
     "threshold_step = 0",
     "segment_length = 3",
     "kernel_base = 60",
+    "kernel_base = 100000",  # refused before its 100004 x 100004 template is built
     "threshold_step = 2",
+    "gamma = inf",
+    "alpha = inf",
+    "fs_extreme_hz = inf",
+    "min_area_px = 0",
+    "min_area_px = -3",
 ])
 def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -208,7 +214,8 @@ class TestEvaluate:
         }
 
     @pytest.mark.parametrize("line", ["method = foo", "method = adaptive",
-                                      "fusion_mode = bogus", "threshold_step = 2"])
+                                      "fusion_mode = bogus", "threshold_step = 2",
+                                      "min_area_px = 0"])
     def test_ablation_bad_run_key_is_usage_error(self, line, optimal_record, tmp_path,
                                                  capsys):
         cfg = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ from scipy.ndimage import map_coordinates
 
 from mflscan.enhance import (
     FusedImage,
+    _maxima_mask,
     envelope,
     fuse,
     gamma_enhance,
@@ -16,6 +17,44 @@ from mflscan.ingest import preprocess
 from mflscan.pipeline import process_segment
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
+
+
+def naive_maxima_mask(enhanced):
+    """Run-length reference for `_maxima_mask`: every row is cut into maximal
+    runs of equal values; a run [s, e] that touches neither row end and whose
+    two neighbours are strictly lower is marked at (s + e) // 2."""
+    h, w = enhanced.shape
+    mask = np.zeros(h * w, dtype=bool)
+    if w < 3:
+        return mask.reshape(h, w)
+    flat = enhanced.ravel()
+    differs = enhanced[:, 1:] != enhanced[:, :-1]
+    edge = np.ones((h, 1), dtype=bool)
+    # runs break at every row boundary, so flat indices never mix rows
+    starts = np.flatnonzero(np.hstack([edge, differs]))
+    ends = np.flatnonzero(np.hstack([differs, edge]))
+    interior = (starts % w > 0) & (ends % w < w - 1)
+    starts, ends = starts[interior], ends[interior]
+    peak = (flat[starts - 1] < flat[starts]) & (flat[ends + 1] < flat[ends])
+    mask[(starts[peak] + ends[peak]) // 2] = True
+    return mask.reshape(h, w)
+
+
+def mixed_rows(rng, shape):
+    """One image whose rows differ in kind: uniform floats, small integers
+    (plateaus everywhere), and a float row holding one plateau of 1-6 equal
+    values at a random place, column 0 and column W - 1 included."""
+    h, w = shape
+    e = rng.uniform(0, 1, size=shape)
+    for r in range(h):
+        kind = rng.integers(0, 3)
+        if kind == 1:
+            e[r] = rng.integers(0, 4, size=w)
+        elif kind == 2:
+            length = int(rng.integers(1, min(w, 6) + 1))
+            start = int(rng.choice([0, w - length, rng.integers(0, w - length + 1)]))
+            e[r, start : start + length] = rng.choice([0.0, 0.5, 2.0])  # low, middle, peak
+    return e
 
 
 def naive_envelope(enhanced):
@@ -139,6 +178,7 @@ class TestEnvelope:
         ]
         for e in fixed:
             assert np.array_equal(envelope(e), naive_envelope(e))
+            assert np.array_equal(_maxima_mask(e), naive_maxima_mask(e))
         for trial in range(300):
             shape = (int(rng.integers(1, 61)), int(rng.integers(1, 41)))
             if trial < 30:
@@ -147,6 +187,31 @@ class TestEnvelope:
                 e = rng.integers(0, 4, size=shape).astype(float)  # plateaus
             else:
                 e = rng.uniform(0, 1, size=shape)
+            assert np.array_equal(envelope(e), naive_envelope(e))
+            assert np.array_equal(_maxima_mask(e), naive_maxima_mask(e))
+        for trial in range(300):
+            # integer-plateau rows beside float rows in one image
+            shape = (int(rng.integers(1, 41)), int(rng.integers(1, 31)))
+            if trial < 30:
+                shape = (shape[0], trial % 3 + 1)  # widths 1-3
+            e = mixed_rows(rng, shape)
+            assert np.array_equal(_maxima_mask(e), naive_maxima_mask(e))
+            assert np.array_equal(envelope(e), naive_envelope(e))
+
+    def test_plateau_maxima_marked_at_center(self):
+        # odd and even plateau lengths, at the ends of the row and inside it
+        cases = {
+            (0.0, 1.0, 1.0, 1.0, 0.0): [2],
+            (0.0, 1.0, 1.0, 1.0, 1.0, 0.0): [2],
+            (0.0, 1.0, 1.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0): [1, 6],
+            (1.0, 1.0, 0.0, 3.0, 0.0): [3],  # plateau touching column 0
+            (0.0, 3.0, 0.0, 1.0, 1.0): [1],  # plateau touching column W - 1
+            (2.0, 2.0, 2.0): [],
+            (0.0, 2.0, 2.0, 3.0, 0.0): [3],  # a shoulder is no maximum
+        }
+        for row, expected in cases.items():
+            e = np.array([row])
+            assert np.flatnonzero(_maxima_mask(e)).tolist() == expected
             assert np.array_equal(envelope(e), naive_envelope(e))
 
     def test_rows_processed_independently(self):

@@ -189,6 +189,13 @@ class TestExtractComponents:
         assert len(dets) == 1
         assert dets[0].box == (5, 7, 5, 7)
 
+    def test_rejects_min_area_below_one(self):
+        binary = np.ones((4, 4), dtype=np.uint8)
+        assert len(extract_components(binary, min_area_px=1)) == 1
+        for min_area in (0, -3):
+            with pytest.raises(ValueError, match="min_area_px"):
+                extract_components(binary, min_area_px=min_area)
+
     def test_score_is_component_mean_intensity(self):
         binary = np.zeros((10, 10), dtype=np.uint8)
         binary[2:4, 2:4] = 1

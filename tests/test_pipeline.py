@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from mflscan import pipeline
+from mflscan.errors import LayerSmallerThanKernel
 from mflscan.ingest import preprocess
 from mflscan.pipeline import METHODS, method_plan, process_record, process_segment
 from mflscan.ssr import AdaptiveConfig, build_context
@@ -66,6 +67,26 @@ class TestLayerSkipping:
             process_segment(image, context, cfg, method=method)
             assert len(calls) == expected, method
             assert calls[0] == image.pixels.shape
+
+    def test_oversized_kernel_refused_before_template(self, optimal, monkeypatch):
+        record, _, _ = optimal
+        cfg = AdaptiveConfig(kernel_base=100_000)
+        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+        image = preprocess(record)[0]
+
+        def no_template(size):
+            raise AssertionError(f"template of size {size} built")
+
+        monkeypatch.setattr(pipeline, "build_template", no_template)
+        for method in METHODS:
+            with pytest.raises(LayerSmallerThanKernel):
+                process_segment(image, context, cfg, method=method)
+        # K_a = ceil(51 + 5 * 2/3) = 55 fits L1 and L2 but not L3 (50 x 50)
+        cfg = AdaptiveConfig(kernel_base=51)
+        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+        assert context.kernel_size == 55
+        with pytest.raises(LayerSmallerThanKernel):
+            process_segment(image, context, cfg, method="unweighted_multiscale")
 
     def test_adaptive_equals_single_scale_at_unit_mu(self):
         # f_spatial = 250 / 2.0 = 125 samples/m, below the extreme reference

@@ -139,3 +139,9 @@ class TestBuildContext:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConfig(gamma=0.0)
+
+    @pytest.mark.parametrize("name", ["fs_extreme_hz", "v_extreme_mps", "alpha", "gamma"])
+    def test_non_finite_values_rejected(self, name):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=name):
+                AdaptiveConfig(**{name: value})

@@ -17,8 +17,8 @@ from . import formats
 from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig
-from .pipeline import method_plan, process_record
-from .ssr import AdaptiveConfig, build_context
+from .pipeline import process_record
+from .ssr import AdaptiveConfig
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
 EXIT_OK = 0
@@ -118,6 +118,17 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _run_record(args, cfg: RunConfig):
+    """Read `args.record` and run it through the pipeline with the config's settings."""
+    record = formats.read_record(args.record)
+    dump_dir = Path(args.dump_stages) if args.dump_stages else None
+    if dump_dir:
+        dump_dir.mkdir(parents=True, exist_ok=True)
+    result = process_record(record, cfg.preprocess_cfg(), cfg.adaptive_cfg(),
+                            dump_dir=dump_dir, **cfg.run)
+    return record, result
+
+
 def cmd_detect(args) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.fusion_mode:
@@ -126,18 +137,7 @@ def cmd_detect(args) -> int:
         cfg.run["method"] = {"single": "single_scale",
                              "unweighted": "unweighted_multiscale",
                              "adaptive": "adaptive"}[args.method]
-    record = formats.read_record(args.record)
-    dump_dir = None
-    if args.dump_stages:
-        dump_dir = Path(args.dump_stages)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    result = process_record(
-        record,
-        preprocess_cfg=cfg.preprocess_cfg(),
-        adaptive_cfg=cfg.adaptive_cfg(),
-        dump_dir=dump_dir,
-        **cfg.run,
-    )
+    record, result = _run_record(args, cfg)
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
     print(f"wrote {out} ({len(result.detections)} detections)")
@@ -145,6 +145,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.kernel_size < 1:
+        raise ConfigInvalid(f"--kernel-size {args.kernel_size} must be >= 1")
     reports: dict[str, EvalReport] = {}
     if args.ablation:
         if not args.record or len(args.record) != len(args.truth):
@@ -193,31 +195,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    record = formats.read_record(args.record)
-    adaptive_cfg = cfg.adaptive_cfg()
-    context = build_context(
-        record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg
-    )
-    plan_keys = {key: cfg.run[key] for key in ("method", "fusion_mode") if key in cfg.run}
-    _, fusion_weights = method_plan(context, adaptive_cfg, **plan_keys)
-    if args.dump_stages:
-        dump_dir = Path(args.dump_stages)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        process_record(
-            record,
-            preprocess_cfg=cfg.preprocess_cfg(),
-            adaptive_cfg=adaptive_cfg,
-            dump_dir=dump_dir,
-            **cfg.run,
-        )
+    _, result = _run_record(args, load_config(args.config) if args.config else RunConfig())
+    context = result.context
     print(json.dumps({
         "schema_version": formats.SCHEMA_VERSION,
         "f_spatial": context.f_spatial,
         "mu": context.mu,
         "K_a": context.kernel_size,
         "weights": list(context.weights),
-        "fusion_weights": list(fusion_weights),
+        "fusion_weights": list(result.fusion_weights),
     }, indent=2))
     return EXIT_OK
 

@@ -25,7 +25,6 @@ class EnhancedLayer:
 @dataclass(frozen=True)
 class FusedImage:
     pixels: np.ndarray
-    weights_used: tuple[float, float, float]
 
     @cached_property
     def normalized(self) -> np.ndarray:
@@ -40,8 +39,6 @@ def gamma_enhance(response: np.ndarray, gamma: float) -> np.ndarray:
 
     An all-zero response passes through as zeros.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
     response = np.asarray(response, dtype=float)
     peak = response.max() if response.size else 0.0
     if peak <= 0:
@@ -79,11 +76,6 @@ def _maxima_mask(enhanced: np.ndarray) -> np.ndarray:
         peak = (flat[starts - 1] < flat[starts]) & (flat[ends + 1] < flat[ends])
         mask.ravel()[(starts[peak] + ends[peak]) // 2] = True
     return mask
-
-
-def _row_maxima(row: np.ndarray) -> list[int]:
-    """Indices of interior local maxima; a plateau counts once at its center."""
-    return np.flatnonzero(_maxima_mask(np.asarray(row)[None, :])).tolist()
 
 
 def envelope(enhanced: np.ndarray) -> np.ndarray:
@@ -163,7 +155,7 @@ def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float])
     fused = weights[n - 1] * layers[n - 1]
     for j in range(n - 2, -1, -1):
         fused = weights[j] * layers[j] + upsample_bilinear(fused, layers[j].shape)
-    return FusedImage(pixels=fused, weights_used=tuple(weights))
+    return FusedImage(pixels=fused)
 
 
 def enhance_layer(response: np.ndarray, gamma: float) -> EnhancedLayer:

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import pipeline
 from .localize import Detection
-from .pipeline import METHODS
+from .pipeline import METHODS  # noqa: F401 (callers import the method names from here)
 from .synth import GroundTruthFlaw
 
 
@@ -16,7 +16,6 @@ class EvalReport:
     fp: int = 0
     fn: int = 0
     method_tag: str = "adaptive"
-    per_scenario: dict = field(default_factory=dict)
 
     @property
     def precision(self) -> float:
@@ -93,10 +92,9 @@ def run_ablation(
     single_scale uses layer 1 with the base kernel and no fusion;
     unweighted_multiscale fuses with flat (1/3, 1/3, 1/3) weights; adaptive is
     the complete SSR-adaptive pipeline (see `pipeline.METHOD_PLANS`). The
-    keyword settings go to `pipeline.process_record` unchanged.
+    method and the keyword settings go to `pipeline.process_record`
+    unchanged, which refuses them when out of range.
     """
-    if method_tag not in METHODS:
-        raise ValueError(f"unknown method {method_tag!r}")
     if not dataset:
         raise ValueError("dataset must be nonempty")
     report = EvalReport(method_tag=method_tag)
@@ -120,27 +118,21 @@ def run_ablation(
     return report
 
 
+# (row label, cell text of a report) of the report table, in row order
+REPORT_ROWS = (
+    ("TP", lambda rep: str(rep.tp)),
+    ("FP", lambda rep: str(rep.fp)),
+    ("FN", lambda rep: str(rep.fn)),
+    ("Precision", lambda rep: f"{100 * rep.precision:.2f}%"),
+    ("Recall", lambda rep: f"{100 * rep.recall:.2f}%"),
+    ("F1 score", lambda rep: f"{100 * rep.f1:.2f}%"),
+)
+
+
 def format_report_table(reports: dict[str, EvalReport]) -> str:
     """Aligned plain-text table, one column per method or scenario."""
-    names = list(reports)
-    rows = [("Metric", *names)]
-    for metric in ("TP", "FP", "FN", "Precision", "Recall", "F1 score"):
-        values = []
-        for name in names:
-            rep = reports[name]
-            if metric == "TP":
-                values.append(str(rep.tp))
-            elif metric == "FP":
-                values.append(str(rep.fp))
-            elif metric == "FN":
-                values.append(str(rep.fn))
-            elif metric == "Precision":
-                values.append(f"{100 * rep.precision:.2f}%")
-            elif metric == "Recall":
-                values.append(f"{100 * rep.recall:.2f}%")
-            else:
-                values.append(f"{100 * rep.f1:.2f}%")
-        rows.append((metric, *values))
+    rows = [("Metric", *reports)]
+    rows += [(label, *map(cell, reports.values())) for label, cell in REPORT_ROWS]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = [
         "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()

@@ -57,7 +57,7 @@ def write_record_csv(path: Path | str, record: MflRecord):
 
 def read_record_csv(path: Path | str, label: str | None = None) -> MflRecord:
     path = Path(path)
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # stray bytes then fail to parse
         header = fh.readline().strip()
         if not header.startswith("#"):
             raise FormatError(f"{path}:1: missing metadata header")
@@ -144,15 +144,15 @@ def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
         payload = json.loads(path.read_text())
         return [
             GroundTruthFlaw(
-                axial_position_m=entry["axial_m"],
-                axial_extent_m=entry["extent_m"],
-                radial_center_channel=entry.get("channel", 8.0),
-                radial_spread_channels=entry.get("spread_channels", 2.0),
-                amplitude=entry["amplitude"],
+                axial_position_m=float(entry["axial_m"]),
+                axial_extent_m=float(entry["extent_m"]),
+                radial_center_channel=float(entry.get("channel", 8.0)),
+                radial_spread_channels=float(entry.get("spread_channels", 2.0)),
+                amplitude=float(entry["amplitude"]),
             )
             for entry in payload["flaws"]
         ]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad ground-truth file: {exc}") from exc
 
 
@@ -183,15 +183,15 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
         payload = json.loads(path.read_text())
         detections = [
             Detection(
-                box=tuple(entry["box"]),
-                axial_position_m=entry["axial_m"],
-                score=entry["score"],
-                segment_index=entry["segment"],
-                axial_start_m=entry["axial_interval_m"][0],
-                axial_end_m=entry["axial_interval_m"][1],
+                box=tuple(int(x) for x in entry["box"]),
+                axial_position_m=float(entry["axial_m"]),
+                score=float(entry["score"]),
+                segment_index=int(entry["segment"]),
+                axial_start_m=float(entry["axial_interval_m"][0]),
+                axial_end_m=float(entry["axial_interval_m"][1]),
             )
             for entry in payload["detections"]
         ]
-        return payload["f_spatial"], detections
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError) as exc:
+        return float(payload["f_spatial"]), detections
+    except (ValueError, OverflowError, RecursionError, KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"{path}: bad detections file: {exc}") from exc

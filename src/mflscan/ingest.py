@@ -31,9 +31,9 @@ class MflRecord:
             raise ValueError("samples must be an M x N matrix with M >= 1 and N >= 2")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        rates = (self.sampling_rate_hz, self.inspection_speed_mps)
-        if not all(np.isfinite(x) and x > 0 for x in rates):
-            raise ValueError("sampling rate and inspection speed must be finite and > 0")
+        fs, v = self.sampling_rate_hz, self.inspection_speed_mps
+        if not (fs > 0 and v > 0 and 0 < fs / v < np.inf):
+            raise ValueError("sampling rate, speed and their ratio must be finite and > 0")
 
     @property
     def sample_count(self) -> int:
@@ -121,8 +121,6 @@ def interpolate_radial(normalized: np.ndarray, height: int) -> np.ndarray:
     """
     data = np.asarray(normalized, dtype=float)
     n = data.shape[1]
-    if n < 2:
-        raise ValueError("need at least 2 channels")
     if height < n:
         raise ConfigInvalid(f"image height {height} is below the channel count {n}")
     knots = np.arange(n + 1, dtype=float)

@@ -10,7 +10,6 @@ import numpy as np
 from scipy.ndimage import find_objects, label
 
 from .enhance import FusedImage
-from .errors import ConfigInvalid
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -50,8 +49,6 @@ def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
     count; ties break toward the higher plateau. An all-zero image yields an
     empty scan with sentinel 1.0.
     """
-    if not 0 < step < 1:
-        raise ConfigInvalid(f"threshold step {step} must lie in (0, 1)")
     norm = fused.normalized
     if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
@@ -82,8 +79,6 @@ def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
 
 def binarize(fused: FusedImage, threshold: float) -> np.ndarray:
     """White (1) wherever the max-normalized fused value reaches the threshold."""
-    if not 0 < threshold <= 1:
-        raise ValueError("threshold must lie in (0, 1]")
     return (fused.normalized >= threshold).astype(np.uint8)
 
 
@@ -130,8 +125,6 @@ def extract_components(
     With radial_wrap, components touching across the top/bottom edge are
     merged (the radial axis is circular on a ring sensor array).
     """
-    if min_area_px < 1:
-        raise ConfigInvalid(f"min_area_px {min_area_px} must be >= 1")
     binary = np.asarray(binary)
     if intensity is None:
         intensity = binary.astype(float)

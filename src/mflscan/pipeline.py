@@ -7,10 +7,10 @@ from pathlib import Path
 
 from . import formats
 from .enhance import enhance_layer, fuse
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
-from .pyramid import build_pyramid, build_template, check_kernel_fits, match
+from .pyramid import build_pyramid, build_template, match
 from .ssr import AdaptiveConfig, SsrContext, build_context
 
 # Fusion mode -> flat layer weights (L1, L2, L3) from the SSR weights. The
@@ -34,18 +34,45 @@ METHODS = tuple(METHOD_PLANS)
 def method_plan(
     context: SsrContext,
     adaptive_cfg: AdaptiveConfig,
+    shape: tuple[int, int],
     method: str = "adaptive",
     fusion_mode: str = "recursive",
+    min_area_px: int = 4,
+    threshold_step: float = 0.05,
 ) -> tuple[int, tuple[float, float, float]]:
-    """Kernel size and flat fusion weights (L1, L2, L3) of a method on a record."""
+    """Kernel size and flat fusion weights (L1, L2, L3) of a method on a record.
+
+    The one place that checks the run keys, and that segments of `shape`
+    (image_height, segment_length) pool into a 3-layer pyramid whose
+    smallest used layer fits the kernel. A threshold step makes
+    ceil(1 / step) - 1 label passes per segment; 0.001 keeps that at 999.
+    """
     if method not in METHOD_PLANS:
         raise ConfigInvalid(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if fusion_mode not in FUSION_MODES:
         raise ConfigInvalid(
             f"unknown fusion mode {fusion_mode!r}; choose from {', '.join(FUSION_MODES)}"
         )
+    if min_area_px < 1:
+        raise ConfigInvalid(f"min_area_px {min_area_px} must be >= 1")
+    if not 0.001 <= threshold_step < 1:
+        raise ConfigInvalid(f"threshold_step {threshold_step} must lie in [0.001, 1)")
+    height, length = shape
+    if height < 4 or length < 4:
+        raise ImageTooSmall(f"image_height x segment_length = {height} x {length} is below "
+                            "the 4 x 4 minimum of a 3-layer pyramid")
     ssr_weights = FUSION_MODES[fusion_mode](*context.weights)
-    return METHOD_PLANS[method](adaptive_cfg.kernel_base, context.kernel_size, ssr_weights)
+    kernel_size, weights = METHOD_PLANS[method](
+        adaptive_cfg.kernel_base, context.kernel_size, ssr_weights
+    )
+    pools = max(j for j, w in enumerate(weights) if w)  # 2x2 poolings to the last used layer
+    layer = (height >> pools, length >> pools)
+    if min(layer) < kernel_size:
+        raise LayerSmallerThanKernel(
+            f"kernel size {kernel_size:.6g} (from kernel_base and alpha) exceeds layer "
+            f"L{pools + 1} {layer} of image_height x segment_length = {height} x {length}"
+        )
+    return kernel_size, weights
 
 
 @dataclass
@@ -53,6 +80,7 @@ class PipelineResult:
     detections: list[Detection]
     context: SsrContext
     kernel_size: int
+    fusion_weights: tuple[float, float, float]
     chosen_thresholds: list[float] = field(default_factory=list)
 
 
@@ -72,12 +100,13 @@ def process_segment(
     Only the layers from L1 down to the coarsest one with a nonzero weight are
     matched and enhanced. Returns the segment's detections and the threshold
     the stability scan chose. Pure function of its inputs; segments may be
-    processed in parallel.
+    processed in parallel. `method_plan` checks the settings against the
+    image's shape.
     """
-    kernel_size, weights = method_plan(context, adaptive_cfg, method, fusion_mode)
+    kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, method,
+                                       fusion_mode, min_area_px, threshold_step)
     used = max(j for j, w in enumerate(weights, start=1) if w)
     layers = build_pyramid(image).layers[:used]
-    check_kernel_fits(layers[-1].shape, kernel_size)  # before a K x K template exists
     template = build_template(kernel_size)
     enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
     fused = fuse(tuple(e.envelope_image for e in enhanced), weights)
@@ -122,22 +151,16 @@ def process_record(
     """Detect flaws in one record; deterministic for identical inputs."""
     preprocess_cfg = preprocess_cfg or PreprocessConfig()
     adaptive_cfg = adaptive_cfg or AdaptiveConfig()
-    context = build_context(
-        record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg
-    )
-    kernel_size, _ = method_plan(context, adaptive_cfg, method, fusion_mode)
+    context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg)
+    run = dict(method=method, fusion_mode=fusion_mode, min_area_px=min_area_px,
+               threshold_step=threshold_step)
+    shape = (preprocess_cfg.image_height, preprocess_cfg.segment_length)
+    kernel_size, weights = method_plan(context, adaptive_cfg, shape, **run)
     images = preprocess(record, preprocess_cfg)
-    result = PipelineResult(detections=[], context=context, kernel_size=kernel_size)
+    result = PipelineResult([], context, kernel_size, weights)
     for image in images:
         detections, threshold = process_segment(
-            image,
-            context,
-            adaptive_cfg,
-            method=method,
-            fusion_mode=fusion_mode,
-            min_area_px=min_area_px,
-            threshold_step=threshold_step,
-            dump_dir=dump_dir,
+            image, context, adaptive_cfg, dump_dir=dump_dir, **run
         )
         result.detections.extend(detections)
         result.chosen_thresholds.append(threshold)

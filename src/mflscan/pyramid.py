@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import ImageTooSmall, LayerSmallerThanKernel
 from .ingest import MflImage
 
 
@@ -39,8 +38,6 @@ def _pool2(img: np.ndarray) -> np.ndarray:
 
 def build_pyramid(img: MflImage) -> ImagePyramid:
     pixels = np.asarray(img.pixels, dtype=float)
-    if pixels.shape[0] < 4 or pixels.shape[1] < 4:
-        raise ImageTooSmall(f"image {pixels.shape} too small for a 3-layer pyramid")
     layer2 = _pool2(pixels)
     layer3 = _pool2(layer2)
     return ImagePyramid(layers=(pixels, layer2, layer3))
@@ -52,19 +49,11 @@ def build_template(size: int) -> FlawTemplate:
     Odd sizes get a zero center column so the entries always sum to zero,
     giving zero response on constant regions.
     """
-    if size < 2:
-        raise ValueError("template size must be >= 2")
     kernel = np.zeros((size, size))
     half = size // 2
     kernel[:, :half] = -1.0
     kernel[:, size - half :] = 1.0
     return FlawTemplate(kernel=kernel, size=size)
-
-
-def check_kernel_fits(shape: tuple[int, ...], size: int) -> None:
-    """Refuse a kernel larger than a layer along either axis."""
-    if shape[0] < size or shape[1] < size:
-        raise LayerSmallerThanKernel(f"layer {shape} smaller than kernel size {size}")
 
 
 def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
@@ -83,7 +72,6 @@ def match(layer: np.ndarray, template: FlawTemplate) -> np.ndarray:
     """
     layer = np.asarray(layer, dtype=float)
     k = template.size
-    check_kernel_fits(layer.shape, k)
     origin = -1 if k % 2 == 0 else 0
     radial = correlate1d(layer, np.ones(k), axis=0, mode="wrap", origin=origin)
     response = correlate1d(

@@ -28,6 +28,9 @@ class AdaptiveConfig:
                 raise ConfigInvalid(f"{name} must be finite and > 0, not {value}")
         if self.kernel_base < 2:
             raise ConfigInvalid("kernel_base must be >= 2")
+        if not 0 < self.f_spatial_extreme < math.inf:
+            raise ConfigInvalid(f"fs_extreme_hz / v_extreme_mps = {self.f_spatial_extreme:g} "
+                                "must be finite and > 0")
 
     @property
     def f_spatial_extreme(self) -> float:
@@ -48,8 +51,8 @@ class SsrContext:
 
 def compute_ssr(fs_hz: float, v_mps: float) -> float:
     """Samples per meter of rope: f_s / v."""
-    if fs_hz <= 0 or v_mps <= 0:
-        raise NonPositiveInput("sampling rate and speed must be > 0")
+    if not (fs_hz > 0 and v_mps > 0 and 0 < fs_hz / v_mps < math.inf):
+        raise NonPositiveInput("sampling rate, speed and their ratio must be finite and > 0")
     return fs_hz / v_mps
 
 
@@ -60,16 +63,12 @@ def normalize_ssr(f_spatial: float, cfg: AdaptiveConfig | None = None) -> float:
     reference; those use the base kernel and full high-resolution weighting.
     """
     cfg = cfg or AdaptiveConfig()
-    if f_spatial <= 0:
-        raise NonPositiveInput("f_spatial must be > 0")
     return min(cfg.f_spatial_extreme / f_spatial, 1.0)
 
 
 def adaptive_kernel_size(mu: float, cfg: AdaptiveConfig | None = None) -> int:
     """Kernel side after adaptive adjustment: ceil(K_base + alpha * (1 - mu))."""
     cfg = cfg or AdaptiveConfig()
-    if not 0 < mu <= 1:
-        raise NonPositiveInput("mu must lie in (0, 1]")
     return math.ceil(cfg.kernel_base + cfg.alpha * (1.0 - mu))
 
 
@@ -78,16 +77,7 @@ def layer_weights(mu: float) -> tuple[float, float, float]:
 
     (mu^2, 2*mu*(1-mu), (1-mu)^2) -- a point on the 2-simplex by construction.
     """
-    if not 0 < mu <= 1:
-        raise NonPositiveInput("mu must lie in (0, 1]")
     return (mu * mu, 2.0 * mu * (1.0 - mu), (1.0 - mu) * (1.0 - mu))
-
-
-def sampling_points(f_spatial: float, distance_m: float) -> float:
-    """Number of samples falling within an axial distance, f_spatial * d."""
-    if f_spatial <= 0 or distance_m <= 0:
-        raise NonPositiveInput("f_spatial and distance must be > 0")
-    return f_spatial * distance_m
 
 
 def build_context(fs_hz: float, v_mps: float, cfg: AdaptiveConfig | None = None) -> SsrContext:

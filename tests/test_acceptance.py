@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mflscan.enhance import _row_maxima, envelope, fuse, gamma_enhance, upsample_bilinear
+from mflscan.enhance import envelope, fuse, gamma_enhance, upsample_bilinear
 from mflscan.evaluate import run_ablation, score
 from mflscan.ingest import MflRecord, PreprocessConfig, detrend, normalize, preprocess
 from mflscan.localize import binarize
@@ -34,6 +34,7 @@ from mflscan.ssr import (
 )
 from mflscan.synth import GroundTruthFlaw, SynthSpec, generate, make_eval_dataset, scenario_presets
 
+from test_enhance import _row_maxima
 from test_pyramid import naive_match
 
 RECORDS_PER_PRESET = 50
@@ -266,8 +267,7 @@ class TestCriterion6Properties:
         rng = np.random.default_rng(306)
         ok = True
         for _ in range(100):
-            img = FusedImage(pixels=rng.uniform(0, 1, size=(15, 15)),
-                             weights_used=(1.0, 0.0, 0.0))
+            img = FusedImage(pixels=rng.uniform(0, 1, size=(15, 15)))
             counts = [int(binarize(img, t).sum()) for t in np.arange(0.05, 1.0, 0.05)]
             ok = ok and bool(np.all(np.diff(counts) <= 0))
         assert announce("criterion 6f: white pixel count monotone in threshold", ok)

@@ -126,7 +126,7 @@ def optimal_record(tmp_path_factory):
     return out.with_suffix(".mfl")
 
 
-@pytest.mark.parametrize("line", [
+BAD_CONFIG_LINES = [
     "gamma = -1",
     "method = foo",
     "fusion_mode = bogus",
@@ -141,7 +141,10 @@ def optimal_record(tmp_path_factory):
     "fs_extreme_hz = inf",
     "min_area_px = 0",
     "min_area_px = -3",
-])
+]
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
 def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
@@ -153,6 +156,41 @@ def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "d.json").exists()
+
+
+@pytest.mark.parametrize("command", ["detect", "inspect"])
+@pytest.mark.parametrize("lines", [
+    "segment_length = 3",
+    "min_area_px = 0",
+    "threshold_step = 5",
+    "kernel_base = 100000",
+    "alpha = 1e300",
+    "half_span_la = 100000",
+    "fs_extreme_hz = 1e-300\nv_extreme_mps = 1e300",  # the reference ratio underflows
+])
+def test_inspect_refuses_what_detect_refuses(command, lines, optimal_record, tmp_path,
+                                             capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines + "\n")
+    capsys.readouterr()
+    code = main([command, str(optimal_record), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
+    for line in lines.splitlines():
+        assert line.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("line", BAD_CONFIG_LINES)
+def test_inspect_refuses_bad_config_value(line, optimal_record, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    capsys.readouterr()
+    code = main(["inspect", str(optimal_record), "--config", str(cfg)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 @pytest.mark.parametrize("line", ["half_span_la = 100000", "segment_length = 100000"])
@@ -197,6 +235,51 @@ class TestEvaluate:
     def test_mismatched_pairing_is_usage_error(self, tmp_path, capsys):
         code = main(["evaluate", "--det", "a.json", "--truth"])
         assert code == 2
+
+    @pytest.mark.parametrize("size", ["0", "-1", "-1000"])
+    def test_kernel_size_below_one_is_usage_error(self, size, optimal_record, tmp_path,
+                                                  capsys):
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        capsys.readouterr()
+        code = main(["evaluate", "--det", str(det),
+                     "--truth", str(optimal_record.parent / "rope_truth.json"),
+                     "--kernel-size", size])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--kernel-size" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("ablation", [False, True], ids=("det", "ablation"))
+    def test_wrongly_typed_truth_field_is_parse_error(self, ablation, optimal_record,
+                                                      tmp_path, capsys):
+        truth = json.loads((optimal_record.parent / "rope_truth.json").read_text())
+        truth["flaws"][0]["axial_m"] = "x"
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(truth))
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        source = ["--det", str(det)]
+        if ablation:
+            source = ["--ablation", "--record", str(optimal_record)]
+        capsys.readouterr()
+        assert main(["evaluate", *source, "--truth", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_wrongly_typed_detections_field_is_parse_error(self, optimal_record, tmp_path,
+                                                           capsys):
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        payload = json.loads(det.read_text())
+        payload["f_spatial"] = "abc"
+        det.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["evaluate", "--det", str(det),
+                     "--truth", str(optimal_record.parent / "rope_truth.json")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ablation_produces_three_sections(self, tmp_path, capsys):
         main(["generate", "optimal_ssr", "--out", str(tmp_path / "rope")])

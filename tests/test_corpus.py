@@ -1,0 +1,182 @@
+"""Seeded corpus of malformed inputs through every command, in process.
+
+Truncated and bit-flipped MFL1 records, CSV records with bad headers or rows,
+one config line per key with each hostile value, and bad ground-truth and
+detections JSON go through `detect`, `inspect`, `evaluate` and
+`evaluate --ablation`. Every case must end in exit 0, 2 or 3 with at most one
+line on stderr, no traceback, no "internal error", and no warning (outside a
+test run a warning prints two more lines on stderr).
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from mflscan import formats
+from mflscan.cli import CONFIG_KEYS, main
+from mflscan.synth import GroundTruthFlaw, SynthSpec, generate
+
+HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "text")
+
+
+@pytest.fixture(scope="module")
+def rope(tmp_path_factory):
+    """A 400-sample (two-segment) optimal-SSR record with its truth and detections."""
+    root = tmp_path_factory.mktemp("corpus")
+    spec = SynthSpec(rope_length_m=0.8, inspection_speed_mps=0.5, sampling_rate_hz=250.0,
+                     flaws=(GroundTruthFlaw(axial_position_m=0.3),), rng_seed=5)
+    record, flaws = generate(spec)
+    paths = {"record": root / "rope.mfl", "truth": root / "truth.json",
+             "det": root / "det.json", "root": root}
+    formats.write_record_binary(paths["record"], record)
+    formats.write_ground_truth(paths["truth"], flaws)
+    assert main(["detect", str(paths["record"]), "--out", str(paths["det"])]) == 0
+    return paths
+
+
+def run_case(argv, capsys):
+    """Problems with one run of `main`, as a list of strings (empty when fine)."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main([str(a) for a in argv])
+        except Exception as exc:  # noqa: BLE001 - any escape is a finding
+            return [f"raised {exc!r}"]
+    err = capsys.readouterr().err
+    problems = []
+    if code not in (0, 2, 3):
+        problems.append(f"exit {code}")
+    if err.count("\n") > 1 or "Traceback" in err or "internal error" in err:
+        problems.append(f"stderr {err!r}")
+    problems += [f"warning {w.message}" for w in caught]
+    return problems
+
+
+def record_commands(path, rope):
+    out = rope["root"] / "out.json"
+    return [
+        ["detect", path, "--out", out],
+        ["inspect", path],
+        ["evaluate", "--ablation", "--record", path, "--truth", rope["truth"]],
+    ]
+
+
+def check_all(cases, capsys):
+    failures = []
+    for name, argv in cases:
+        failures += [f"{name}: {' '.join(map(str, argv[:2]))}: {p}"
+                     for p in run_case(argv, capsys)]
+    assert not failures, "\n".join(failures)
+
+
+def test_truncated_and_bit_flipped_records(rope, capsys):
+    raw = rope["record"].read_bytes()
+    rng = np.random.default_rng(71)
+    cases = []
+    for i in range(8):
+        path = rope["root"] / f"cut{i}.mfl"
+        path.write_bytes(raw[: int(rng.integers(0, len(raw)))])
+        cases += [(f"cut{i}", argv) for argv in record_commands(path, rope)]
+    for i in range(16):
+        data = bytearray(raw)
+        # half the files take their flips in the 28-byte header
+        span = 28 if i % 2 else len(data)
+        for pos in rng.integers(0, span * 8, size=int(rng.integers(1, 6))):
+            data[pos // 8] ^= 1 << (pos % 8)
+        path = rope["root"] / f"flip{i}.mfl"
+        path.write_bytes(bytes(data))
+        cases += [(f"flip{i}", argv) for argv in record_commands(path, rope)]
+    check_all(cases, capsys)
+
+
+def test_bad_csv_records(rope, capsys):
+    header = "# sampling_rate_hz=250.0, speed_mps=0.5, channels=4"
+    rng = np.random.default_rng(72)
+    good = [",".join(f"{v:.3f}" for v in row) for row in rng.normal(size=(400, 4))]
+    bodies = {
+        "no_header": good,
+        "bad_field": ["# sampling_rate_hz=250.0, speed_mps, channels=4", *good],
+        "bad_rate": ["# sampling_rate_hz=fast, speed_mps=0.5, channels=4", *good],
+        "no_channels": ["# sampling_rate_hz=250.0, speed_mps=0.5", *good],
+        "one_channel": ["# sampling_rate_hz=250.0, speed_mps=0.5, channels=1",
+                        *(row.split(",")[0] for row in good)],
+        "zero_speed": ["# sampling_rate_hz=250.0, speed_mps=0, channels=4", *good],
+        "ratio_underflow": ["# sampling_rate_hz=1e-300, speed_mps=1e300, channels=4", *good],
+        "short_row": [header, *good[:7], "1.0,2.0", *good[7:]],
+        "text_row": [header, *good[:9], "1.0,x,2.0,3.0", *good[9:]],
+        "nan_row": [header, *good[:3], "nan,0,0,0", *good[3:]],
+        "inf_row": [header, "inf,0,0,0", *good],
+        "too_short": [header, *good[:50]],
+        "header_only": [header],
+    }
+    cases = []
+    for name, lines in bodies.items():
+        path = rope["root"] / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        cases += [(name, argv) for argv in record_commands(path, rope)]
+    path = rope["root"] / "binary.csv"
+    path.write_bytes(bytes(np.random.default_rng(73).integers(0, 256, 600, dtype=np.uint8)))
+    cases += [("binary", argv) for argv in record_commands(path, rope)]
+    check_all(cases, capsys)
+
+
+def test_hostile_config_values(rope, capsys):
+    cfg_lines = [f"{key} = {value}" for key in CONFIG_KEYS for value in HOSTILE_VALUES]
+    cfg_lines += ["fs_extreme_hz = 1e-300\nv_extreme_mps = 1e300",
+                  "fs_extreme_hz = 1e300\nv_extreme_mps = 1e-300"]
+    cases = []
+    for i, line in enumerate(cfg_lines):
+        cfg = rope["root"] / f"cfg{i}.cfg"
+        cfg.write_text(line + "\n")
+        for argv in record_commands(rope["record"], rope):
+            if "--ablation" in argv and line.startswith("method"):
+                continue  # --ablation refuses every method line
+            cases.append((line.replace("\n", "; "), [*argv, "--config", cfg]))
+    check_all(cases, capsys)
+
+
+def test_bad_truth_and_detections_json(rope, capsys):
+    truth = json.loads(rope["truth"].read_text())
+    det = json.loads(rope["det"].read_text())
+    flaw, hit = truth["flaws"][0], det["detections"][0]
+    truths = {
+        "not_json": "{flaws: [",
+        "list": [],
+        "no_flaws": {},
+        "flaws_dict": {"flaws": {"a": 1}},
+        "flaw_text": {"flaws": ["x"]},
+        "axial_text": {"flaws": [{**flaw, "axial_m": "x"}]},
+        "extent_null": {"flaws": [{**flaw, "extent_m": None}]},
+        "amplitude_list": {"flaws": [{**flaw, "amplitude": [1]}]},
+        "huge_int": {"flaws": [{**flaw, "axial_m": 10**400}]},
+        "deep": "[" * 100_000,
+    }
+    dets = {
+        "not_json": "[",
+        "deep": "[" * 100_000,
+        "no_detections": {"f_spatial": 500.0},
+        "f_spatial_text": {**det, "f_spatial": "abc"},
+        "box_text": {**det, "detections": [{**hit, "box": ["a", 1, 2, 3]}]},
+        "interval_short": {**det, "detections": [{**hit, "axial_interval_m": [0.1]}]},
+        "interval_number": {**det, "detections": [{**hit, "axial_interval_m": 3}]},
+        "segment_text": {**det, "detections": [{**hit, "segment": "two"}]},
+        "score_null": {**det, "detections": [{**hit, "score": None}]},
+    }
+    cases = []
+    for name, payload in truths.items():
+        path = rope["root"] / f"truth_{name}.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        cases.append((f"truth {name}", ["evaluate", "--det", rope["det"], "--truth", path]))
+        cases.append((f"truth {name}", ["evaluate", "--ablation", "--record", rope["record"],
+                                        "--truth", path]))
+    for name, payload in dets.items():
+        path = rope["root"] / f"det_{name}.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
+    for size in ("0", "-1000"):
+        cases.append((f"kernel {size}", ["evaluate", "--det", rope["det"],
+                                         "--truth", rope["truth"], "--kernel-size", size]))
+    check_all(cases, capsys)

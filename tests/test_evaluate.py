@@ -129,8 +129,11 @@ class TestEvalReport:
 
 class TestRunAblation:
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_ablation([(None, [])], "gradient_descent")
+        # the method is checked once, in the plan process_record makes
+        preset = scenario_presets()["optimal_ssr"]
+        dataset = make_eval_dataset(preset, 1, base_seed=0)
+        with pytest.raises(ConfigInvalid, match="gradient_descent"):
+            run_ablation(dataset, "gradient_descent")
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -119,6 +119,28 @@ class TestGroundTruthJson:
         with pytest.raises(FormatError):
             formats.read_ground_truth(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("axial_m", "x"), ("extent_m", None), ("amplitude", [1.0]), ("channel", "mid"),
+        ("axial_m", 10**400),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "truth.json"
+        formats.write_ground_truth(path, [GroundTruthFlaw(axial_position_m=1.0)])
+        payload = json.loads(path.read_text())
+        payload["flaws"][0][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="ground-truth"):
+            formats.read_ground_truth(path)
+
+    def test_numeric_strings_coerced(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps({"flaws": [
+            {"axial_m": "1.5", "extent_m": 2, "amplitude": "0.5"}
+        ]}))
+        (flaw,) = formats.read_ground_truth(path)
+        assert (flaw.axial_position_m, flaw.axial_extent_m, flaw.amplitude) == (1.5, 2.0, 0.5)
+        assert isinstance(flaw.axial_extent_m, float)
+
 
 class TestDetectionsJson:
     def test_roundtrip(self, tmp_path):
@@ -141,4 +163,22 @@ class TestDetectionsJson:
         path = tmp_path / "dets.json"
         path.write_text(json.dumps({"schema_version": 1}))
         with pytest.raises(FormatError):
+            formats.read_detections(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("f_spatial", "abc"), ("axial_m", "x"), ("score", None), ("segment", "two"),
+        ("box", ["a", 1, 2, 3]), ("axial_interval_m", ["x", 0.4]), ("axial_interval_m", 3),
+    ])
+    def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "dets.json"
+        det = Detection(box=(1, 2, 3, 4), axial_position_m=0.4, score=0.5, segment_index=1,
+                        axial_start_m=0.3, axial_end_m=0.5)
+        formats.write_detections(path, "rec", 500.0, [det])
+        payload = json.loads(path.read_text())
+        if field == "f_spatial":
+            payload[field] = value
+        else:
+            payload["detections"][0][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="detections"):
             formats.read_detections(path)

@@ -5,6 +5,7 @@ import pytest
 from scipy.ndimage import label
 
 from mflscan.enhance import FusedImage
+from mflscan.errors import ConfigInvalid
 from mflscan.localize import (
     EIGHT_CONNECTED,
     _wrap_merge,
@@ -12,11 +13,15 @@ from mflscan.localize import (
     binarize,
     extract_components,
 )
+from mflscan.pipeline import method_plan
+from mflscan.ssr import AdaptiveConfig, build_context
+
+CFG = AdaptiveConfig()
+CONTEXT = build_context(250.0, 0.5, CFG)
 
 
 def fused(pixels):
-    return FusedImage(pixels=np.asarray(pixels, dtype=float),
-                      weights_used=(1.0, 0.0, 0.0))
+    return FusedImage(pixels=np.asarray(pixels, dtype=float))
 
 
 def naive_region_counts(norm, thresholds):
@@ -96,10 +101,10 @@ class TestAdaptiveThreshold:
         assert scan.chosen_threshold == pytest.approx(0.75)
 
     def test_rejects_step_outside_unit_interval(self):
-        img = np.eye(5)
-        for step in (0.0, -0.1, 1.0, 2.0, float("nan")):
-            with pytest.raises(ValueError):
-                adaptive_threshold(fused(img), step=step)
+        # the step is checked once, in the run's plan
+        for step in (0.0, -0.1, 1.0, 2.0, float("nan"), 1e-300):
+            with pytest.raises(ConfigInvalid, match="threshold_step"):
+                method_plan(CONTEXT, CFG, (200, 200), threshold_step=step)
 
     def test_every_count_at_least_one(self):
         rng = np.random.default_rng(12)
@@ -156,10 +161,15 @@ class TestBinarize:
         assert np.all(np.diff(counts) <= 0)
 
     def test_rejects_out_of_range_threshold(self):
-        with pytest.raises(ValueError):
-            binarize(fused(np.ones((2, 2))), 0.0)
-        with pytest.raises(ValueError):
-            binarize(fused(np.ones((2, 2))), 1.5)
+        # binarize takes the scan's chosen threshold, which lies in (0, 1]
+        # because the plan refuses steps outside [0.001, 1)
+        for step in (0.0, 1.5):
+            with pytest.raises(ConfigInvalid, match="threshold_step"):
+                method_plan(CONTEXT, CFG, (200, 200), threshold_step=step)
+        rng = np.random.default_rng(13)
+        for step in (0.001, 0.05, 0.3, 0.999):
+            chosen = adaptive_threshold(fused(rng.uniform(size=(9, 9))), step).chosen_threshold
+            assert 0 < chosen <= 1
 
 
 class TestExtractComponents:
@@ -192,9 +202,10 @@ class TestExtractComponents:
     def test_rejects_min_area_below_one(self):
         binary = np.ones((4, 4), dtype=np.uint8)
         assert len(extract_components(binary, min_area_px=1)) == 1
+        # the minimum area is checked once, in the run's plan
         for min_area in (0, -3):
-            with pytest.raises(ValueError, match="min_area_px"):
-                extract_components(binary, min_area_px=min_area)
+            with pytest.raises(ConfigInvalid, match="min_area_px"):
+                method_plan(CONTEXT, CFG, (200, 200), min_area_px=min_area)
 
     def test_score_is_component_mean_intensity(self):
         binary = np.zeros((10, 10), dtype=np.uint8)

@@ -5,11 +5,14 @@ from dataclasses import replace
 import pytest
 
 from mflscan import pipeline
-from mflscan.errors import LayerSmallerThanKernel
-from mflscan.ingest import preprocess
+from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
+from mflscan.ingest import PreprocessConfig, preprocess
 from mflscan.pipeline import METHODS, method_plan, process_record, process_segment
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
+
+
+SHAPE = (200, 200)  # default (image_height, segment_length)
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +27,16 @@ class TestMethodPlan:
     def test_table(self, optimal):
         _, cfg, context = optimal
         w1, w2, w3 = context.weights
-        assert method_plan(context, cfg, "single_scale") == (cfg.kernel_base, (1.0, 0.0, 0.0))
-        assert method_plan(context, cfg, "unweighted_multiscale") == (
+        assert method_plan(context, cfg, SHAPE, "single_scale") == (
+            cfg.kernel_base, (1.0, 0.0, 0.0)
+        )
+        assert method_plan(context, cfg, SHAPE, "unweighted_multiscale") == (
             context.kernel_size, (1 / 3, 1 / 3, 1 / 3)
         )
-        assert method_plan(context, cfg, "adaptive", "flat") == (context.kernel_size, (w1, w2, w3))
-        kernel, weights = method_plan(context, cfg, "adaptive", "recursive")
+        assert method_plan(context, cfg, SHAPE, "adaptive", "flat") == (
+            context.kernel_size, (w1, w2, w3)
+        )
+        kernel, weights = method_plan(context, cfg, SHAPE, "adaptive", "recursive")
         assert kernel == context.kernel_size
         assert weights == pytest.approx((w1, (1 - w1) * w2, (1 - w1) * (1 - w2)), abs=1e-15)
         assert sum(weights) == pytest.approx(1.0)
@@ -37,15 +44,39 @@ class TestMethodPlan:
     def test_unknown_names_rejected(self, optimal):
         _, cfg, context = optimal
         with pytest.raises(ValueError, match="method"):
-            method_plan(context, cfg, "foo")
+            method_plan(context, cfg, SHAPE, "foo")
         with pytest.raises(ValueError, match="fusion mode"):
-            method_plan(context, cfg, "adaptive", "pyramidal")
+            method_plan(context, cfg, SHAPE, "adaptive", "pyramidal")
 
     def test_record_kernel_size_from_plan(self, optimal):
         record, cfg, context = optimal
         for method in METHODS:
             result = process_record(record, method=method)
-            assert result.kernel_size == method_plan(context, cfg, method)[0]
+            plan = method_plan(context, cfg, SHAPE, method)
+            assert (result.kernel_size, result.fusion_weights) == plan
+
+    def test_record_planned_once_before_preprocessing(self, optimal, monkeypatch):
+        record, _, _ = optimal
+        calls = []
+        plan = pipeline.method_plan
+
+        def recording_plan(context, cfg, shape, *args, **kwargs):
+            calls.append(shape)
+            return plan(context, cfg, shape, *args, **kwargs)
+
+        def no_preprocess(*args):
+            raise AssertionError("preprocessed before the plan was checked")
+
+        monkeypatch.setattr(pipeline, "method_plan", recording_plan)
+        monkeypatch.setattr(pipeline, "preprocess", no_preprocess)
+        for bad in ({"threshold_step": 5}, {"min_area_px": 0}, {"method": "foo"}):
+            with pytest.raises(ConfigInvalid):
+                process_record(record, **bad)
+        with pytest.raises(LayerSmallerThanKernel, match="alpha"):
+            process_record(record, adaptive_cfg=AdaptiveConfig(alpha=1e300))
+        with pytest.raises(ImageTooSmall, match="segment_length"):
+            process_record(record, PreprocessConfig(segment_length=3))
+        assert calls == [SHAPE] * 4 + [(200, 3)]
 
 
 class TestLayerSkipping:

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from mflscan.errors import ImageTooSmall, LayerSmallerThanKernel
+from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
 from mflscan.ingest import MflImage
+from mflscan.pipeline import method_plan
 from mflscan.pyramid import build_pyramid, build_template, match
+from mflscan.ssr import AdaptiveConfig, build_context
+
+# mu = 1/3 (250 Hz at 0.5 m/s): K_a = 9, every layer used
+CFG = AdaptiveConfig()
+CONTEXT = build_context(250.0, 0.5, CFG)
 
 
 def naive_match(layer, kernel):
@@ -74,8 +80,9 @@ class TestBuildPyramid:
         assert pyr.layers[2].shape == (2, 1)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ImageTooSmall):
-            build_pyramid(make_image(np.zeros((3, 10))))
+        # the segment shape is checked once, in the run's plan
+        with pytest.raises(ImageTooSmall, match="image_height x segment_length"):
+            method_plan(CONTEXT, CFG, (3, 10), "single_scale")
 
 
 class TestBuildTemplate:
@@ -94,8 +101,9 @@ class TestBuildTemplate:
             assert build_template(k).kernel.sum() == 0.0
 
     def test_rejects_size_one(self):
-        with pytest.raises(ValueError):
-            build_template(1)
+        # every kernel is at least kernel_base, which AdaptiveConfig keeps >= 2
+        with pytest.raises(ConfigInvalid, match="kernel_base"):
+            AdaptiveConfig(kernel_base=1)
 
 
 class TestMatch:
@@ -149,5 +157,6 @@ class TestMatch:
         assert match(axial_step, tmpl).max() > match(radial_step, tmpl).max()
 
     def test_layer_smaller_than_kernel_rejected(self):
-        with pytest.raises(LayerSmallerThanKernel):
-            match(np.zeros((4, 10)), build_template(5))
+        # L1 of a 4 x 10 segment is smaller than kernel_base = 5
+        with pytest.raises(LayerSmallerThanKernel, match="kernel_base"):
+            method_plan(CONTEXT, CFG, (4, 10), "single_scale")

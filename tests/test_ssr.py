@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mflscan.errors import NonPositiveInput
+from mflscan.errors import ConfigInvalid, NonPositiveInput
 from mflscan.ssr import (
     AdaptiveConfig,
     adaptive_kernel_size,
@@ -13,7 +13,6 @@ from mflscan.ssr import (
     compute_ssr,
     layer_weights,
     normalize_ssr,
-    sampling_points,
 )
 
 
@@ -33,6 +32,9 @@ class TestComputeSsr:
             compute_ssr(0.0, 1.0)
         with pytest.raises(NonPositiveInput):
             compute_ssr(250.0, -1.0)
+        for fs, v in ((1e-300, 1e300), (1e300, 1e-300)):  # the ratio under/overflows
+            with pytest.raises(NonPositiveInput):
+                compute_ssr(fs, v)
 
     def test_inverts_exactly(self):
         rng = np.random.default_rng(0)
@@ -54,8 +56,12 @@ class TestNormalizeSsr:
         assert normalize_ssr(100.0) == 1.0
 
     def test_rejects_non_positive(self):
+        # f_spatial <= 0 is refused where it is computed, for the public
+        # build_context; the extreme reference where it is configured
         with pytest.raises(NonPositiveInput):
-            normalize_ssr(0.0)
+            build_context(0.0, 1.0)
+        with pytest.raises(ConfigInvalid, match="fs_extreme_hz / v_extreme_mps"):
+            AdaptiveConfig(fs_extreme_hz=1e-300, v_extreme_mps=1e300)
 
 
 class TestAdaptiveKernelSize:
@@ -76,10 +82,15 @@ class TestAdaptiveKernelSize:
             assert cfg.kernel_base <= k <= cfg.kernel_base + math.ceil(cfg.alpha)
 
     def test_rejects_out_of_range_mu(self):
+        # mu lies in (0, 1] by construction: the reference ratio is refused at
+        # 0 or inf, the record's f_spatial likewise, and normalize_ssr clamps
+        for fs_extreme, v_extreme in ((1e-300, 1e300), (1e300, 1e-300)):
+            with pytest.raises(ConfigInvalid, match="fs_extreme_hz"):
+                AdaptiveConfig(fs_extreme_hz=fs_extreme, v_extreme_mps=v_extreme)
         with pytest.raises(NonPositiveInput):
-            adaptive_kernel_size(0.0)
-        with pytest.raises(NonPositiveInput):
-            adaptive_kernel_size(1.5)
+            build_context(1e300, 1e-300)
+        for fs, v in ((1e-6, 1e6), (250.0, 0.5), (1e6, 1e-6)):
+            assert 0 < build_context(fs, v).mu <= 1
 
 
 class TestLayerWeights:
@@ -103,18 +114,6 @@ class TestLayerWeights:
         w3 = [layer_weights(m)[2] for m in mus]
         assert np.all(np.diff(w1) > 0)
         assert np.all(np.diff(w3) < 0)
-
-
-class TestSamplingPoints:
-    def test_extreme_reference_flaw(self):
-        assert sampling_points(166.667, 0.02) == pytest.approx(3.333, abs=1e-3)
-
-    def test_dense_scan_flaw(self):
-        assert sampling_points(500.0, 0.02) == pytest.approx(10.0)
-
-    def test_reciprocal_identity(self):
-        for f in (10.0, 166.667, 2000.0):
-            assert sampling_points(f, 1.0 / f) == pytest.approx(1.0)
 
 
 class TestBuildContext:

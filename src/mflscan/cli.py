@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from functools import cache
 from pathlib import Path
 
@@ -79,6 +80,19 @@ def load_config(path: Path | str) -> RunConfig:
     return cfg
 
 
+def _typed(cls, fields):
+    """`cls(**fields)` with each int, float or str field converted to its declared type."""
+    hints = typing.get_type_hints(cls)
+    typed = dict(fields)
+    for name, value in typed.items():
+        if hints.get(name) in (int, float, str):
+            try:
+                typed[name] = hints[name](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    return cls(**typed)
+
+
 def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
     presets = scenario_presets()
     if spec_arg in presets:
@@ -94,11 +108,9 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         try:
-            flaws = tuple(
-                GroundTruthFlaw(**flaw) for flaw in payload.pop("flaws", [])
-            )
-            spec = SynthSpec(flaws=flaws, **payload)
-        except TypeError as exc:
+            flaws = tuple(_typed(GroundTruthFlaw, flaw) for flaw in payload.pop("flaws", []))
+            spec = _typed(SynthSpec, dict(payload, flaws=flaws))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     if seed is not None:
         spec = dataclasses.replace(spec, rng_seed=seed)

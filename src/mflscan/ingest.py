@@ -2,11 +2,13 @@
 
 Records arrive as M axial samples x N channels. Preprocessing turns one record
 into a sequence of fixed-size H x P images (rows radial, columns axial) with
-pixel values in [-1, 1].
+pixel values in [-1, 1]. The sequence builds each image when it is accessed,
+so no M x H strip of the whole record is ever held.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,54 +112,64 @@ def normalize(y: np.ndarray) -> np.ndarray:
     return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
-def interpolate_radial(normalized: np.ndarray, height: int) -> np.ndarray:
-    """Resample each axial row from N channels to `height` radial positions.
+def interpolate_radial(channels: int, height: int) -> np.ndarray:
+    """The channels x `height` matrix that resamples an axial row to `height` radial positions.
 
     The channel axis is treated as circular (the sensors form a ring, so the
-    last channel neighbors the first); a periodic cubic spline interpolates
-    each row and the result is clamped back to [-1, 1]. The spline is linear
-    in the data, so it is evaluated once on the N x N identity and applied to
-    every row as one N x height matrix.
+    last channel neighbors the first), and a periodic cubic spline
+    interpolates each row. The spline is linear in the data, so it is
+    evaluated once on the N x N identity: `row @ basis` is the row's spline.
     """
-    data = np.asarray(normalized, dtype=float)
-    n = data.shape[1]
-    if height < n:
-        raise ConfigInvalid(f"image height {height} is below the channel count {n}")
-    knots = np.arange(n + 1, dtype=float)
-    wrapped = np.eye(n)[:, np.arange(n + 1) % n]  # row i: channel i alone at 1, periodic
+    if height < channels:
+        raise ConfigInvalid(f"image height {height} is below the channel count {channels}")
+    knots = np.arange(channels + 1, dtype=float)
+    wrapped = np.eye(channels)[:, np.arange(channels + 1) % channels]  # periodic identity
     spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
-    basis = spline(np.arange(height) * (n / height))
-    # einsum runs on this thread; `@` would hand this size to the threaded
-    # BLAS, whose idle worker keeps spinning on a core after the call
-    out = np.einsum("mn,nh->mh", data, basis)
-    return np.clip(out, -1.0, 1.0, out=out)
+    return spline(np.arange(height) * (channels / height))
 
 
-def segment(f: np.ndarray, length: int) -> list[MflImage]:
-    """Cut the interpolated M x H matrix into floor(M/P) non-overlapping images.
+class Segments(Sequence):
+    """The floor(M/P) images of a normalized M x N record, each built when accessed.
 
-    Each segment is transposed into image orientation (H rows radial, P columns
-    axial). A trailing remainder shorter than P is dropped.
+    Image i (segment_index i + 1) holds samples [i*P, (i+1)*P), resampled by
+    the radial basis, in image orientation (H rows radial, P columns axial)
+    and clamped to [-1, 1]. A trailing remainder shorter than P is dropped and
+    never resampled. Only the record and the basis are held, so memory is
+    the record's plus the images the caller keeps.
     """
-    f = np.asarray(f, dtype=float)
-    m_count = f.shape[0]
-    if m_count < length:
-        raise RecordTooShort(
-            f"record has {m_count} samples, segment_length = {length} needs at least {length}"
-        )
-    count = m_count // length
-    images = []
-    for i in range(count):
-        start = i * length
-        block = f[start : start + length].T.copy()
-        images.append(MflImage(pixels=block, segment_index=i + 1, origin_sample=start))
-    return images
+
+    def __init__(self, normalized: np.ndarray, basis: np.ndarray, length: int):
+        m_count = normalized.shape[0]
+        if m_count < length:
+            raise RecordTooShort(
+                f"record has {m_count} samples, segment_length = {length} needs at least {length}"
+            )
+        self._rows, self._basis, self._length = normalized, basis, length
+
+    def __len__(self) -> int:
+        return self._rows.shape[0] // self._length
+
+    def __getitem__(self, i: int) -> MflImage:
+        count = len(self)
+        if not -count <= i < count:
+            raise IndexError(f"segment {i} of {count}")
+        i %= count
+        start = i * self._length
+        # einsum runs on this thread; `@` would hand this size to the threaded
+        # BLAS, whose idle worker keeps spinning on a core after the call
+        pixels = np.einsum("pn,nh->hp", self._rows[start : start + self._length], self._basis,
+                           order="C")
+        np.clip(pixels, -1.0, 1.0, out=pixels)
+        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start)
 
 
-def preprocess(record: MflRecord, cfg: PreprocessConfig | None = None) -> list[MflImage]:
-    """Full preprocessing chain: detrend -> normalize -> interpolate -> segment."""
+def preprocess(record: MflRecord, cfg: PreprocessConfig | None = None) -> Segments:
+    """Full preprocessing chain: detrend -> normalize -> radial basis -> segments.
+
+    Detrending and normalizing run on the whole record; each segment is
+    resampled only when it is accessed.
+    """
     cfg = cfg or PreprocessConfig()
-    y = detrend(record, cfg)
-    norm = normalize(y)
-    f = interpolate_radial(norm, cfg.image_height)
-    return segment(f, cfg.segment_length)
+    norm = normalize(detrend(record, cfg))
+    basis = interpolate_radial(record.channel_count, cfg.image_height)
+    return Segments(norm, basis, cfg.segment_length)

@@ -26,8 +26,10 @@ class AdaptiveConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigInvalid(f"{name} must be finite and > 0, not {value}")
-        if self.kernel_base < 2:
-            raise ConfigInvalid("kernel_base must be >= 2")
+        # beyond 2**53 the float sum K_base + alpha * (1 - mu) is no longer
+        # exact, and past the float range it overflows
+        if not 2 <= self.kernel_base <= 2**53:
+            raise ConfigInvalid("kernel_base must lie in [2, 2**53]")
         if not 0 < self.f_spatial_extreme < math.inf:
             raise ConfigInvalid(f"fs_extreme_hz / v_extreme_mps = {self.f_spatial_extreme:g} "
                                 "must be finite and > 0")

@@ -59,6 +59,16 @@ class TestGenerate:
         assert code == EXIT_PARSE
         assert "inspection_speed_mps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["rope_length_m", "strand_pitch_m"])
+    def test_mistyped_spec_field_is_parse_error(self, field, tmp_path, capsys):
+        spec = {"rope_length_m": 4.0, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250}
+        spec_path = tmp_path / "bad.json"
+        spec_path.write_text(json.dumps({**spec, field: "x"}))
+        code = main(["generate", str(spec_path), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == EXIT_PARSE
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         code = main(["generate", "warp_ssr", "--out", str(tmp_path / "r")])
         assert code == EXIT_PARSE
@@ -135,6 +145,7 @@ BAD_CONFIG_LINES = [
     "segment_length = 3",
     "kernel_base = 60",
     "kernel_base = 100000",  # refused before its 100004 x 100004 template is built
+    pytest.param("kernel_base = 1" + "0" * 400, id="kernel_base = 10**400"),  # beyond float
     "threshold_step = 2",
     "gamma = inf",
     "alpha = inf",
@@ -164,6 +175,7 @@ def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys)
     "min_area_px = 0",
     "threshold_step = 5",
     "kernel_base = 100000",
+    pytest.param("kernel_base = 1" + "0" * 400, id="kernel_base = 10**400"),
     "alpha = 1e300",
     "half_span_la = 100000",
     "fs_extreme_hz = 1e-300\nv_extreme_mps = 1e300",  # the reference ratio underflows

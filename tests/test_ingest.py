@@ -6,14 +6,16 @@ from scipy.interpolate import CubicSpline
 
 from mflscan.errors import ConfigInvalid, RecordTooShort
 from mflscan.ingest import (
+    MflImage,
     MflRecord,
     PreprocessConfig,
+    Segments,
     detrend,
     interpolate_radial,
     normalize,
     preprocess,
-    segment,
 )
+from mflscan.synth import make_eval_dataset, scenario_presets
 
 
 def make_record(samples, fs=250.0, v=0.5):
@@ -31,6 +33,26 @@ def naive_interpolate_radial(data, height):
         for row in data
     ]
     return np.clip(np.array(rows).reshape(len(data), height), -1.0, 1.0)
+
+
+def resample(data, height):
+    """Each row of `data` at `height` radial positions, through the basis."""
+    return np.clip(data @ interpolate_radial(data.shape[1], height), -1.0, 1.0)
+
+
+def naive_preprocess(record, cfg=PreprocessConfig()):
+    """Reference for `preprocess`: the whole M x H strip, then a transposed copy
+    of each segment."""
+    norm = normalize(detrend(record, cfg))
+    strip = np.einsum("mn,nh->mh", norm, interpolate_radial(record.channel_count,
+                                                            cfg.image_height))
+    np.clip(strip, -1.0, 1.0, out=strip)
+    p = cfg.segment_length
+    return [
+        MflImage(pixels=strip[i * p : (i + 1) * p].T.copy(), segment_index=i + 1,
+                 origin_sample=i * p)
+        for i in range(len(strip) // p)
+    ]
 
 
 class TestRecordValidation:
@@ -142,18 +164,18 @@ class TestInterpolateRadial:
     def test_knot_values_reproduced(self):
         rng = np.random.default_rng(5)
         data = rng.uniform(-1, 1, size=(10, 16))
-        out = interpolate_radial(data, 32)
+        out = resample(data, 32)
         # positions 0, 2, 4, ... coincide with the original channels
         assert np.allclose(out[:, ::2], data, atol=1e-9)
 
     def test_constant_rows_stay_constant(self):
-        out = interpolate_radial(np.full((5, 16), 0.375), 200)
+        out = resample(np.full((5, 16), 0.375), 200)
         assert np.allclose(out, 0.375)
 
     def test_single_bump_midpoint_and_range(self):
         row = np.zeros((1, 16))
         row[0, 1] = 1.0
-        out = interpolate_radial(row, 32)
+        out = resample(row, 32)
         # midpoint between channels 1 and 2 (knots 0 and 1) is position 1
         assert out[0, 1] >= 0.45
         assert out.max() <= 1.0
@@ -164,7 +186,7 @@ class TestInterpolateRadial:
         # instead of being cut off at an artificial seam
         row = np.zeros((1, 16))
         row[0, 15] = 1.0
-        out = interpolate_radial(row, 64)
+        out = resample(row, 64)
         assert out[0, 63] > 0.1  # quarter-step past the last channel
 
     def test_matches_per_row_spline_oracle(self):
@@ -174,19 +196,25 @@ class TestInterpolateRadial:
             height = int(rng.integers(n, 4 * n + 8))  # odd and non-multiple heights too
             data = rng.uniform(-1, 1, size=(int(rng.integers(1, 40)), n))
             np.testing.assert_allclose(
-                interpolate_radial(data, height), naive_interpolate_radial(data, height),
+                resample(data, height), naive_interpolate_radial(data, height),
                 rtol=0, atol=1e-12,
             )
 
     def test_output_height(self):
-        out = interpolate_radial(np.zeros((7, 16)), 200)
-        assert out.shape == (7, 200)
+        # one row per channel, one column per radial position
+        assert interpolate_radial(16, 200).shape == (16, 200)
+
+    def test_height_below_channel_count_rejected(self):
+        with pytest.raises(ConfigInvalid, match="channel count 16"):
+            interpolate_radial(16, 15)
 
 
 class TestSegment:
+    """`Segments` over the identity basis is the transposed record, cut in P."""
+
     def test_five_segments_with_origins(self):
-        f = np.arange(1000 * 8, dtype=float).reshape(1000, 8)
-        images = segment(f, 200)
+        f = np.linspace(-1, 1, 1000 * 8).reshape(1000, 8)
+        images = Segments(f, np.eye(8), 200)
         assert len(images) == 5
         for i, img in enumerate(images):
             assert img.segment_index == i + 1
@@ -194,25 +222,38 @@ class TestSegment:
             assert img.pixels.shape == (8, 200)
 
     def test_single_segment_is_transpose(self):
-        f = np.arange(200 * 4, dtype=float).reshape(200, 4)
-        images = segment(f, 200)
+        f = np.linspace(-1, 1, 200 * 4).reshape(200, 4)
+        images = Segments(f, np.eye(4), 200)
         assert len(images) == 1
         assert np.array_equal(images[0].pixels, f.T)
+        assert images[0].pixels.flags.c_contiguous
 
     def test_trailing_remainder_dropped(self):
         f = np.zeros((399, 4))
-        assert len(segment(f, 200)) == 1
+        assert len(Segments(f, np.eye(4), 200)) == 1
 
     def test_record_shorter_than_segment_rejected(self):
         with pytest.raises(RecordTooShort, match="segment_length = 200"):
-            segment(np.zeros((150, 4)), 200)
+            Segments(np.zeros((150, 4)), np.eye(4), 200)
 
     def test_segments_partition_exactly(self):
         rng = np.random.default_rng(9)
-        f = rng.normal(size=(650, 6))
-        images = segment(f, 200)
+        f = rng.uniform(-1, 1, size=(650, 6))
+        images = Segments(f, np.eye(6), 200)
         rebuilt = np.concatenate([img.pixels.T for img in images], axis=0)
         assert np.array_equal(rebuilt, f[:600])
+
+    def test_sequence_protocol(self):
+        rng = np.random.default_rng(13)
+        images = Segments(rng.uniform(-1, 1, size=(650, 6)), np.eye(6), 200)
+        assert images[-1].segment_index == images[2].segment_index == 3
+        assert np.array_equal(images[-3].pixels, images[0].pixels)
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                images[bad]
+        # each access builds a fresh image; iterating twice gives equal pixels
+        assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(images, list(images)))
+        assert images[0].pixels is not images[0].pixels
 
 
 def test_preprocess_chain_shapes_and_range():
@@ -224,3 +265,30 @@ def test_preprocess_chain_shapes_and_range():
         assert img.pixels.shape == (200, 200)
         assert img.pixels.max() <= 1.0
         assert img.pixels.min() >= -1.0
+
+
+@pytest.mark.parametrize("preset", ["low_ssr", "optimal_ssr", "high_ssr"])
+def test_preprocess_matches_strip_oracle_on_presets(preset):
+    for seed in (100, 150, 200):
+        for record, _ in make_eval_dataset(scenario_presets()[preset], 2, seed):
+            assert_same_images(preprocess(record), naive_preprocess(record))
+
+
+@pytest.mark.parametrize("samples, channels, cfg", [
+    (600, 16, PreprocessConfig(half_span_la=50)),  # exact multiple of P
+    (650, 16, PreprocessConfig(half_span_la=50)),  # 50-sample tail
+    (500, 7, PreprocessConfig(half_span_la=30, image_height=23, segment_length=61)),
+    (401, 16, PreprocessConfig(half_span_la=100, image_height=199, segment_length=133)),
+])
+def test_preprocess_matches_strip_oracle_on_shapes(samples, channels, cfg):
+    rng = np.random.default_rng(samples + channels)
+    record = make_record(np.cumsum(rng.normal(size=(samples, channels)), axis=0))
+    assert_same_images(preprocess(record, cfg), naive_preprocess(record, cfg))
+
+
+def assert_same_images(got, expected):
+    assert len(got) == len(expected)
+    for image, reference in zip(got, expected):
+        assert np.array_equal(image.pixels, reference.pixels)
+        assert (image.segment_index, image.origin_sample) == (
+            reference.segment_index, reference.origin_sample)

@@ -1,5 +1,8 @@
-"""Methods as data: the method table, layer skipping, and the μ = 1 limit."""
+"""Methods as data: the method table, layer skipping, the μ = 1 limit, and record memory."""
 
+import resource
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -132,3 +135,33 @@ class TestLayerSkipping:
         assert adaptive.detections
         assert adaptive.detections == single.detections
         assert adaptive.chosen_thresholds == single.chosen_thresholds
+
+
+def test_record_memory_is_record_sized_plus_one_segment():
+    # a 50-segment high_ssr rope with a 150-sample tail; holding its M x H
+    # strip (and a copy of it in segments) would need about 2 x 16 MB
+    preset = scenario_presets()["high_ssr"]
+    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    record, _ = generate(replace(preset, rope_length_m=(50 * 200 + 150.5) / f_spatial))
+    assert record.sample_count // 200 == 50
+    process_record(record)  # warm-up
+    tracemalloc.start()
+    try:
+        process_record(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * record.samples.nbytes + 4 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc heap thresholds")
+def test_streamed_segments_keep_their_heap(optimal):
+    # each segment frees a working set of about 2.4 MB; returned to the OS,
+    # it faults back in on every segment (about 3600 faults per record)
+    record = optimal[0]
+    process_record(record)  # warm-up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        process_record(record)
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
+    assert faults < 500

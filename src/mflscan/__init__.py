@@ -7,7 +7,7 @@ flaws by stability-based thresholding and connected components.
 """
 
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
-from .pipeline import PipelineResult, process_record, process_segment
+from .pipeline import PipelineResult, RunConfig, process_record, process_segment
 from .ssr import AdaptiveConfig, SsrContext, build_context
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
@@ -20,6 +20,7 @@ __all__ = [
     "MflRecord",
     "PipelineResult",
     "PreprocessConfig",
+    "RunConfig",
     "SsrContext",
     "SynthSpec",
     "build_context",

@@ -18,7 +18,7 @@ from . import formats
 from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig
-from .pipeline import process_record
+from .pipeline import FUSION_MODES, RunConfig, process_record
 from .ssr import AdaptiveConfig
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
@@ -27,39 +27,27 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
 
-# flat key = value config keys and their target (section, field, type)
-CONFIG_KEYS = {
-    "half_span_la": ("preprocess", "half_span_la", int),
-    "image_height": ("preprocess", "image_height", int),
-    "segment_length": ("preprocess", "segment_length", int),
-    "fs_extreme_hz": ("adaptive", "fs_extreme_hz", float),
-    "v_extreme_mps": ("adaptive", "v_extreme_mps", float),
-    "kernel_base": ("adaptive", "kernel_base", int),
-    "alpha": ("adaptive", "alpha", float),
-    "gamma": ("adaptive", "gamma", float),
-    "fusion_mode": ("run", "fusion_mode", str),
-    "method": ("run", "method", str),
-    "min_area_px": ("run", "min_area_px", int),
-    "threshold_step": ("run", "threshold_step", float),
-}
+CONFIG_SECTIONS = (PreprocessConfig, AdaptiveConfig, RunConfig)
+# every flat `key = value` config key and the section whose field it is
+CONFIG_KEYS = {f.name: cls for cls in CONFIG_SECTIONS for f in dataclasses.fields(cls)}
 
 
-class RunConfig:
-    def __init__(self):
-        self.preprocess = {}
-        self.adaptive = {}
-        self.run = {}  # only the keys that were set; process_record has the defaults
+def _typed(cls, values: dict) -> dict:
+    """`values` with each int, float or str field of `cls` converted to its declared type."""
+    hints = typing.get_type_hints(cls)
+    typed = dict(values)
+    for name, value in values.items():
+        if hints.get(name) in (int, float, str):
+            try:
+                typed[name] = hints[name](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+    return typed
 
-    def preprocess_cfg(self) -> PreprocessConfig:
-        return PreprocessConfig(**self.preprocess)
 
-    def adaptive_cfg(self) -> AdaptiveConfig:
-        return AdaptiveConfig(**self.adaptive)
-
-
-def load_config(path: Path | str) -> RunConfig:
-    """Parse a flat `key = value` config file; unknown keys are rejected."""
-    cfg = RunConfig()
+def load_config(path: Path | str) -> dict:
+    """The typed values a flat `key = value` config file sets; unknown keys are rejected."""
+    values = {}
     path = Path(path)
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -71,26 +59,17 @@ def load_config(path: Path | str) -> RunConfig:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        section, field, cast = CONFIG_KEYS[key]
         try:
-            value = cast(raw.strip())
+            values.update(_typed(CONFIG_KEYS[key], {key: raw.strip()}))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
-        getattr(cfg, section)[field] = value
-    return cfg
+    return values
 
 
-def _typed(cls, fields):
-    """`cls(**fields)` with each int, float or str field converted to its declared type."""
-    hints = typing.get_type_hints(cls)
-    typed = dict(fields)
-    for name, value in typed.items():
-        if hints.get(name) in (int, float, str):
-            try:
-                typed[name] = hints[name](value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-    return cls(**typed)
+def _sections(values: dict) -> list:
+    """PreprocessConfig, AdaptiveConfig and RunConfig of the config values; each checks its own."""
+    return [cls(**{key: value for key, value in values.items() if CONFIG_KEYS[key] is cls})
+            for cls in CONFIG_SECTIONS]
 
 
 def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
@@ -105,12 +84,15 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
             )
         try:
             payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise FormatError(f"{path}: a spec is a JSON object, not {type(payload).__name__}")
         try:
-            flaws = tuple(_typed(GroundTruthFlaw, flaw) for flaw in payload.pop("flaws", []))
-            spec = _typed(SynthSpec, dict(payload, flaws=flaws))
-        except (TypeError, ValueError, OverflowError) as exc:
+            flaws = tuple(GroundTruthFlaw(**_typed(GroundTruthFlaw, flaw))
+                          for flaw in payload.pop("flaws", []))
+            spec = SynthSpec(**_typed(SynthSpec, dict(payload, flaws=flaws)))
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
     if seed is not None:
         spec = dataclasses.replace(spec, rng_seed=seed)
@@ -130,26 +112,25 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_record(args, cfg: RunConfig):
-    """Read `args.record` and run it through the pipeline with the config's settings."""
+def _run_record(args, values: dict):
+    """Read `args.record` and run it through the pipeline with the config values."""
     record = formats.read_record(args.record)
     dump_dir = Path(args.dump_stages) if args.dump_stages else None
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
-    result = process_record(record, cfg.preprocess_cfg(), cfg.adaptive_cfg(),
-                            dump_dir=dump_dir, **cfg.run)
+    result = process_record(record, *_sections(values), dump_dir=dump_dir)
     return record, result
 
 
 def cmd_detect(args) -> int:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    values = load_config(args.config) if args.config else {}
     if args.fusion_mode:
-        cfg.run["fusion_mode"] = args.fusion_mode
+        values["fusion_mode"] = args.fusion_mode
     if args.method:
-        cfg.run["method"] = {"single": "single_scale",
-                             "unweighted": "unweighted_multiscale",
-                             "adaptive": "adaptive"}[args.method]
-    record, result = _run_record(args, cfg)
+        values["method"] = {"single": "single_scale",
+                            "unweighted": "unweighted_multiscale",
+                            "adaptive": "adaptive"}[args.method]
+    record, result = _run_record(args, values)
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
     print(f"wrote {out} ({len(result.detections)} detections)")
@@ -165,27 +146,26 @@ def cmd_evaluate(args) -> int:
             print("--ablation needs --record and --truth lists of equal length",
                   file=sys.stderr)
             return EXIT_USAGE
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if "method" in cfg.run:
+        values = load_config(args.config) if args.config else {}
+        if "method" in values:
             raise ConfigInvalid("method cannot be set with --ablation, which runs every method")
         dataset = [
             (formats.read_record(rec), formats.read_ground_truth(tru))
             for rec, tru in zip(args.record, args.truth)
         ]
+        sections = _sections(values)
         for method in METHODS:
-            reports[method] = run_ablation(
-                dataset, method, cfg.preprocess_cfg(), cfg.adaptive_cfg(), **cfg.run
-            )
+            reports[method] = run_ablation(dataset, method, *sections)
     else:
         if not args.det or len(args.det) != len(args.truth):
             print("need --det and --truth lists of equal length", file=sys.stderr)
             return EXIT_USAGE
-        report = EvalReport(method_tag="adaptive")
+        report = EvalReport()  # a detections file scores as the default method
         for det_path, truth_path in zip(args.det, args.truth):
             f_spatial, detections = formats.read_detections(det_path)
             truths = formats.read_ground_truth(truth_path)
             report.add(*match_detections(detections, truths, f_spatial, args.kernel_size))
-        reports["adaptive"] = report
+        reports[report.method_tag] = report
     table = format_report_table(reports)
     print(table)
     if args.out:
@@ -207,7 +187,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, result = _run_record(args, load_config(args.config) if args.config else RunConfig())
+    _, result = _run_record(args, load_config(args.config) if args.config else {})
     context = result.context
     print(json.dumps({
         "schema_version": formats.SCHEMA_VERSION,
@@ -240,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--config")
     p_det.add_argument("--out")
     p_det.add_argument("--dump-stages", metavar="DIR")
-    p_det.add_argument("--fusion-mode", choices=("recursive", "flat"))
+    p_det.add_argument("--fusion-mode", choices=FUSION_MODES)
     p_det.add_argument("--method", choices=("single", "unweighted", "adaptive"))
     p_det.set_defaults(func=cmd_detect)
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import pipeline
+from .ingest import PreprocessConfig
 from .localize import Detection
-from .pipeline import METHODS  # noqa: F401 (callers import the method names from here)
+from .pipeline import METHODS, RunConfig  # noqa: F401 (callers import METHODS from here)
+from .ssr import AdaptiveConfig
 from .synth import GroundTruthFlaw
 
 
@@ -15,7 +17,7 @@ class EvalReport:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    method_tag: str = "adaptive"
+    method_tag: str = RunConfig().method
 
     @property
     def precision(self) -> float:
@@ -80,34 +82,23 @@ def match_detections(
 def run_ablation(
     dataset,
     method_tag: str,
-    preprocess_cfg=None,
-    adaptive_cfg=None,
-    *,
-    fusion_mode: str = "recursive",
-    min_area_px: int = 4,
-    threshold_step: float = 0.05,
+    preprocess_cfg: PreprocessConfig = PreprocessConfig(),
+    adaptive_cfg: AdaptiveConfig = AdaptiveConfig(),
+    run: RunConfig = RunConfig(),
 ) -> EvalReport:
     """Run the full pipeline on (record, truths) pairs and aggregate counts.
 
     single_scale uses layer 1 with the base kernel and no fusion;
     unweighted_multiscale fuses with flat (1/3, 1/3, 1/3) weights; adaptive is
     the complete SSR-adaptive pipeline (see `pipeline.METHOD_PLANS`). The
-    method and the keyword settings go to `pipeline.process_record`
-    unchanged, which refuses them when out of range.
+    method replaces the run's; `RunConfig` refuses an unknown one.
     """
     if not dataset:
         raise ValueError("dataset must be nonempty")
+    run = replace(run, method=method_tag)
     report = EvalReport(method_tag=method_tag)
     for record, truths in dataset:
-        result = pipeline.process_record(
-            record,
-            preprocess_cfg=preprocess_cfg,
-            adaptive_cfg=adaptive_cfg,
-            method=method_tag,
-            fusion_mode=fusion_mode,
-            min_area_px=min_area_px,
-            threshold_step=threshold_step,
-        )
+        result = pipeline.process_record(record, preprocess_cfg, adaptive_cfg, run)
         counts = match_detections(
             result.detections,
             truths,

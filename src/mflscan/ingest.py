@@ -55,10 +55,6 @@ class MflImage:
     origin_sample: int
 
     @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
     def length(self) -> int:
         return self.pixels.shape[1]
 
@@ -163,13 +159,12 @@ class Segments(Sequence):
         return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start)
 
 
-def preprocess(record: MflRecord, cfg: PreprocessConfig | None = None) -> Segments:
+def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:
     """Full preprocessing chain: detrend -> normalize -> radial basis -> segments.
 
     Detrending and normalizing run on the whole record; each segment is
     resampled only when it is accessed.
     """
-    cfg = cfg or PreprocessConfig()
     norm = normalize(detrend(record, cfg))
     basis = interpolate_radial(record.channel_count, cfg.image_height)
     return Segments(norm, basis, cfg.segment_length)

@@ -20,16 +20,16 @@ class Detection:
 
     box is (axial_start_px, axial_end_px, radial_start_px, radial_end_px),
     inclusive, in segment-local pixel coordinates. axial_start_m/axial_end_m
-    are the box edges mapped to rope meters (NaN when no physical context was
-    supplied).
+    are the box edges mapped to rope meters, and axial_position_m their
+    midpoint.
     """
 
     box: tuple[int, int, int, int]
     axial_position_m: float
     score: float
     segment_index: int
-    axial_start_m: float = float("nan")
-    axial_end_m: float = float("nan")
+    axial_start_m: float
+    axial_end_m: float
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ThresholdScan:
     chosen_threshold: float
 
 
-def adaptive_threshold(fused: FusedImage, step: float = 0.05) -> ThresholdScan:
+def adaptive_threshold(fused: FusedImage, step: float) -> ThresholdScan:
     """Sweep binarization thresholds and pick the most stable one.
 
     Every threshold in {step, 2*step, ...} < 1 is applied to the max-normalized
@@ -109,29 +109,23 @@ def _wrap_merge(labeled: np.ndarray, n_regions: int) -> np.ndarray:
 
 def extract_components(
     binary: np.ndarray,
-    intensity: np.ndarray | None = None,
-    min_area_px: int = 4,
+    intensity: np.ndarray,
+    min_area_px: int,
     *,
-    segment_index: int = 0,
-    origin_sample: int = 0,
-    f_spatial: float = 0.0,
-    radial_wrap: bool = False,
+    segment_index: int,
+    origin_sample: int,
+    f_spatial: float,
 ) -> list[Detection]:
     """8-connected component labeling with a minimum-area filter.
 
-    Each surviving component becomes a Detection with a tight bounding box and
-    the mean intensity over the component's pixels as score. When f_spatial is
-    supplied, the box is also mapped to rope meters through origin_sample.
-    With radial_wrap, components touching across the top/bottom edge are
-    merged (the radial axis is circular on a ring sensor array).
+    Components touching across the top/bottom edge are merged, because the
+    radial axis is circular on a ring sensor array. Each surviving component
+    becomes a Detection with a tight bounding box, the mean intensity over
+    the component's pixels as score, and the box mapped to rope meters
+    through origin_sample and f_spatial (samples per meter).
     """
-    binary = np.asarray(binary)
-    if intensity is None:
-        intensity = binary.astype(float)
-    else:
-        intensity = np.asarray(intensity, dtype=float)
     labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
-    if radial_wrap and n_regions > 1:
+    if n_regions > 1:
         labeled = _wrap_merge(labeled, n_regions)
     areas = np.bincount(labeled.ravel(), minlength=n_regions + 1)
     sums = np.bincount(labeled.ravel(), weights=intensity.ravel(), minlength=n_regions + 1)
@@ -143,16 +137,12 @@ def extract_components(
         r0, r1 = box[0].start, box[0].stop - 1
         a0, a1 = box[1].start, box[1].stop - 1
         score = float(sums[idx] / areas[idx])
-        if f_spatial > 0:
-            start_m = (origin_sample + a0) / f_spatial
-            end_m = (origin_sample + a1 + 1) / f_spatial
-            center_m = (start_m + end_m) / 2.0
-        else:
-            start_m = end_m = center_m = float("nan")
+        start_m = (origin_sample + a0) / f_spatial
+        end_m = (origin_sample + a1 + 1) / f_spatial
         detections.append(
             Detection(
                 box=(a0, a1, r0, r1),
-                axial_position_m=center_m,
+                axial_position_m=(start_m + end_m) / 2.0,
                 score=score,
                 segment_index=segment_index,
                 axial_start_m=start_m,

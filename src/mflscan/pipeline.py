@@ -54,38 +54,50 @@ METHOD_PLANS = {
 METHODS = tuple(METHOD_PLANS)
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """The run keys: the method, the fusion mode, the area filter and the threshold step.
+
+    A threshold step makes ceil(1 / step) - 1 label passes per segment;
+    0.001 keeps that at 999.
+    """
+
+    method: str = "adaptive"
+    fusion_mode: str = "recursive"
+    min_area_px: int = 4
+    threshold_step: float = 0.05
+
+    def __post_init__(self):
+        if self.method not in METHOD_PLANS:
+            raise ConfigInvalid(f"unknown method {self.method!r}; "
+                                f"choose from {', '.join(METHODS)}")
+        if self.fusion_mode not in FUSION_MODES:
+            raise ConfigInvalid(f"unknown fusion mode {self.fusion_mode!r}; "
+                                f"choose from {', '.join(FUSION_MODES)}")
+        if self.min_area_px < 1:
+            raise ConfigInvalid(f"min_area_px {self.min_area_px} must be >= 1")
+        if not 0.001 <= self.threshold_step < 1:
+            raise ConfigInvalid(f"threshold_step {self.threshold_step} must lie in [0.001, 1)")
+
+
 def method_plan(
     context: SsrContext,
     adaptive_cfg: AdaptiveConfig,
     shape: tuple[int, int],
-    method: str = "adaptive",
-    fusion_mode: str = "recursive",
-    min_area_px: int = 4,
-    threshold_step: float = 0.05,
+    run: RunConfig,
 ) -> tuple[int, tuple[float, float, float]]:
-    """Kernel size and flat fusion weights (L1, L2, L3) of a method on a record.
+    """Kernel size and flat fusion weights (L1, L2, L3) of the run's method on a record.
 
-    The one place that checks the run keys, and that segments of `shape`
-    (image_height, segment_length) pool into a 3-layer pyramid whose
-    smallest used layer fits the kernel. A threshold step makes
-    ceil(1 / step) - 1 label passes per segment; 0.001 keeps that at 999.
+    The one place that checks that segments of `shape` (image_height,
+    segment_length) pool into a 3-layer pyramid whose smallest used layer
+    fits the kernel.
     """
-    if method not in METHOD_PLANS:
-        raise ConfigInvalid(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if fusion_mode not in FUSION_MODES:
-        raise ConfigInvalid(
-            f"unknown fusion mode {fusion_mode!r}; choose from {', '.join(FUSION_MODES)}"
-        )
-    if min_area_px < 1:
-        raise ConfigInvalid(f"min_area_px {min_area_px} must be >= 1")
-    if not 0.001 <= threshold_step < 1:
-        raise ConfigInvalid(f"threshold_step {threshold_step} must lie in [0.001, 1)")
     height, length = shape
     if height < 4 or length < 4:
         raise ImageTooSmall(f"image_height x segment_length = {height} x {length} is below "
                             "the 4 x 4 minimum of a 3-layer pyramid")
-    ssr_weights = FUSION_MODES[fusion_mode](*context.weights)
-    kernel_size, weights = METHOD_PLANS[method](
+    ssr_weights = FUSION_MODES[run.fusion_mode](*context.weights)
+    kernel_size, weights = METHOD_PLANS[run.method](
         adaptive_cfg.kernel_base, context.kernel_size, ssr_weights
     )
     pools = max(j for j, w in enumerate(weights) if w)  # 2x2 poolings to the last used layer
@@ -111,11 +123,8 @@ def process_segment(
     image: MflImage,
     context: SsrContext,
     adaptive_cfg: AdaptiveConfig,
+    run: RunConfig = RunConfig(),
     *,
-    method: str = "adaptive",
-    fusion_mode: str = "recursive",
-    min_area_px: int = 4,
-    threshold_step: float = 0.05,
     dump_dir: Path | None = None,
 ) -> tuple[list[Detection], float]:
     """Run one segment through matching, enhancement, fusion, and localization.
@@ -126,23 +135,21 @@ def process_segment(
     processed in parallel. `method_plan` checks the settings against the
     image's shape.
     """
-    kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, method,
-                                       fusion_mode, min_area_px, threshold_step)
+    kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, run)
     used = max(j for j, w in enumerate(weights, start=1) if w)
     layers = build_pyramid(image).layers[:used]
     template = build_template(kernel_size)
     enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
     fused = fuse(tuple(e.envelope_image for e in enhanced), weights)
 
-    scan = adaptive_threshold(fused, step=threshold_step)
+    scan = adaptive_threshold(fused, run.threshold_step)
     detections = extract_components(
         binarize(fused, scan.chosen_threshold),
         fused.normalized,
-        min_area_px=min_area_px,
+        run.min_area_px,
         segment_index=image.segment_index,
         origin_sample=image.origin_sample,
         f_spatial=context.f_spatial,
-        radial_wrap=True,
     )
 
     if dump_dir is not None:
@@ -162,30 +169,22 @@ def process_segment(
 
 def process_record(
     record: MflRecord,
-    preprocess_cfg: PreprocessConfig | None = None,
-    adaptive_cfg: AdaptiveConfig | None = None,
+    preprocess_cfg: PreprocessConfig = PreprocessConfig(),
+    adaptive_cfg: AdaptiveConfig = AdaptiveConfig(),
+    run: RunConfig = RunConfig(),
     *,
-    method: str = "adaptive",
-    fusion_mode: str = "recursive",
-    min_area_px: int = 4,
-    threshold_step: float = 0.05,
     dump_dir: Path | None = None,
 ) -> PipelineResult:
     """Detect flaws in one record; deterministic for identical inputs."""
     _keep_freed_heap()
-    preprocess_cfg = preprocess_cfg or PreprocessConfig()
-    adaptive_cfg = adaptive_cfg or AdaptiveConfig()
     context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg)
-    run = dict(method=method, fusion_mode=fusion_mode, min_area_px=min_area_px,
-               threshold_step=threshold_step)
     shape = (preprocess_cfg.image_height, preprocess_cfg.segment_length)
-    kernel_size, weights = method_plan(context, adaptive_cfg, shape, **run)
+    kernel_size, weights = method_plan(context, adaptive_cfg, shape, run)
     images = preprocess(record, preprocess_cfg)
     result = PipelineResult([], context, kernel_size, weights)
     for image in images:
-        detections, threshold = process_segment(
-            image, context, adaptive_cfg, dump_dir=dump_dir, **run
-        )
+        detections, threshold = process_segment(image, context, adaptive_cfg, run,
+                                                dump_dir=dump_dir)
         result.detections.extend(detections)
         result.chosen_thresholds.append(threshold)
     return result

@@ -47,8 +47,6 @@ class SsrContext:
     mu: float
     kernel_size: int
     weights: tuple[float, float, float]
-    fs_hz: float
-    v_mps: float
 
 
 def compute_ssr(fs_hz: float, v_mps: float) -> float:
@@ -58,19 +56,17 @@ def compute_ssr(fs_hz: float, v_mps: float) -> float:
     return fs_hz / v_mps
 
 
-def normalize_ssr(f_spatial: float, cfg: AdaptiveConfig | None = None) -> float:
+def normalize_ssr(f_spatial: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> float:
     """Normalize SSR against the extreme reference, clamped to (0, 1].
 
     Values above 1 mean the rope was scanned sparser than the extreme
     reference; those use the base kernel and full high-resolution weighting.
     """
-    cfg = cfg or AdaptiveConfig()
     return min(cfg.f_spatial_extreme / f_spatial, 1.0)
 
 
-def adaptive_kernel_size(mu: float, cfg: AdaptiveConfig | None = None) -> int:
+def adaptive_kernel_size(mu: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> int:
     """Kernel side after adaptive adjustment: ceil(K_base + alpha * (1 - mu))."""
-    cfg = cfg or AdaptiveConfig()
     return math.ceil(cfg.kernel_base + cfg.alpha * (1.0 - mu))
 
 
@@ -82,9 +78,10 @@ def layer_weights(mu: float) -> tuple[float, float, float]:
     return (mu * mu, 2.0 * mu * (1.0 - mu), (1.0 - mu) * (1.0 - mu))
 
 
-def build_context(fs_hz: float, v_mps: float, cfg: AdaptiveConfig | None = None) -> SsrContext:
+def build_context(
+    fs_hz: float, v_mps: float, cfg: AdaptiveConfig = AdaptiveConfig()
+) -> SsrContext:
     """Derive all adaptive quantities for one record."""
-    cfg = cfg or AdaptiveConfig()
     f_spatial = compute_ssr(fs_hz, v_mps)
     mu = normalize_ssr(f_spatial, cfg)
     return SsrContext(
@@ -92,6 +89,4 @@ def build_context(fs_hz: float, v_mps: float, cfg: AdaptiveConfig | None = None)
         mu=mu,
         kernel_size=adaptive_kernel_size(mu, cfg),
         weights=layer_weights(mu),
-        fs_hz=fs_hz,
-        v_mps=v_mps,
     )

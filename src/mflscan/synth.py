@@ -10,7 +10,8 @@ apparent strand slope scale with spatial sampling resolution automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
@@ -25,6 +26,7 @@ STRIPE_SIGMA_M = 0.001
 DRIFT_SMOOTH_SAMPLES = 600
 
 MIN_SAMPLES = 400  # at least two default-length segments
+MAX_SAMPLES = 2**32 - 1  # the MFL1 header stores the sample count as u32
 
 
 @dataclass(frozen=True)
@@ -53,27 +55,46 @@ class SynthSpec:
     label: str = "synthetic"
 
     def validate(self):
-        for name in ("rope_length_m", "inspection_speed_mps", "sampling_rate_hz"):
-            if getattr(self, name) <= 0:
-                raise SpecInvalid(f"{name} must be > 0, got {getattr(self, name)}")
+        """Refuse a spec that cannot be rendered into an MFL1 record."""
+        _require_finite(self, 0, True, "rope_length_m", "inspection_speed_mps",
+                        "sampling_rate_hz", "strand_pitch_m")
+        _require_finite(self, 0, False, "strand_amplitude", "stripe_noise_rate_per_m",
+                        "stripe_amplitude", "drift_amplitude", "white_noise_sigma")
         if self.channel_count < 2:
             raise SpecInvalid("need at least 2 channels")
-        for name in (
-            "strand_amplitude",
-            "stripe_noise_rate_per_m",
-            "stripe_amplitude",
-            "drift_amplitude",
-            "white_noise_sigma",
-        ):
-            if getattr(self, name) < 0:
-                raise SpecInvalid(f"{name} must be >= 0")
+        if self.rng_seed < 0:
+            raise SpecInvalid(f"rng_seed must be >= 0, got {self.rng_seed}")
+        f_spatial = self.sampling_rate_hz / self.inspection_speed_mps
+        samples = self.rope_length_m * f_spatial
+        if not MIN_SAMPLES <= samples < MAX_SAMPLES + 1:
+            raise SpecInvalid(
+                f"rope_length_m * sampling_rate_hz / inspection_speed_mps gives {samples:.6g} "
+                f"samples; a record holds {MIN_SAMPLES} to {MAX_SAMPLES}"
+            )
+        if self.stripe_noise_rate_per_m * self.rope_length_m > samples:
+            raise SpecInvalid("stripe_noise_rate_per_m expects more stripes than the rope has "
+                              "samples")
         for flaw in self.flaws:
             if not 0 <= flaw.axial_position_m <= self.rope_length_m:
                 raise SpecInvalid(
                     f"flaw at {flaw.axial_position_m} m lies outside the rope"
                 )
-            if flaw.axial_extent_m <= 0 or flaw.amplitude <= 0:
-                raise SpecInvalid("flaw extent and amplitude must be > 0")
+            _require_finite(flaw, 0, True, "amplitude")
+            # a flaw narrower than the sample spacing falls between samples
+            _require_finite(flaw, 1 / f_spatial, False, "axial_extent_m")
+            _require_finite(flaw, 0, False, "radial_spread_channels")
+            if not math.isfinite(flaw.radial_center_channel):
+                raise SpecInvalid(f"radial_center_channel must be finite, "
+                                  f"got {flaw.radial_center_channel}")
+
+
+def _require_finite(obj, low: float, strict: bool, *names: str):
+    """Refuse each field `names` of `obj` that is not finite and > `low` (>= unless `strict`)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise SpecInvalid(f"{name} must be finite and {'>' if strict else '>='} {low}, "
+                              f"got {value}")
 
 
 def flaw_profile(s: np.ndarray, flaw: GroundTruthFlaw) -> np.ndarray:
@@ -96,10 +117,6 @@ def generate(spec: SynthSpec) -> tuple[MflRecord, list[GroundTruthFlaw]]:
     spec.validate()
     f_spatial = spec.sampling_rate_hz / spec.inspection_speed_mps
     m_count = int(np.floor(spec.rope_length_m * f_spatial))
-    if m_count < MIN_SAMPLES:
-        raise SpecInvalid(
-            f"spec yields {m_count} samples; need at least {MIN_SAMPLES}"
-        )
     n = spec.channel_count
     rng = np.random.default_rng(spec.rng_seed)
     s = np.arange(m_count) / f_spatial  # axial position of each sample, meters

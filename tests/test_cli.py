@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mflscan import formats
-from mflscan.cli import EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
+from mflscan.cli import CONFIG_KEYS, EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
 from mflscan.ingest import MflRecord
 
@@ -21,10 +21,14 @@ class TestLoadConfig:
     def test_parses_known_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nkernel_base = 7\ngamma = 1.5\nfusion_mode = flat\n")
-        cfg = load_config(path)
-        assert cfg.adaptive_cfg().kernel_base == 7
-        assert cfg.adaptive_cfg().gamma == 1.5
-        assert cfg.run["fusion_mode"] == "flat"
+        assert load_config(path) == {"kernel_base": 7, "gamma": 1.5, "fusion_mode": "flat"}
+
+    def test_keys_are_the_config_fields(self):
+        assert sorted(CONFIG_KEYS) == sorted([
+            "half_span_la", "image_height", "segment_length",
+            "fs_extreme_hz", "v_extreme_mps", "kernel_base", "alpha", "gamma",
+            "method", "fusion_mode", "min_area_px", "threshold_step",
+        ])
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -81,6 +85,15 @@ class TestGenerate:
         assert sha256(tmp_path / "a.mfl") == sha256(tmp_path / "b.mfl")
 
 
+# sha256 over the name and bytes of every PGM, in name order, that
+# `detect --dump-stages` writes for `generate <preset> --seed 11`
+DUMP_DIGESTS = {
+    "high_ssr": "d6b1925f80bcf6df9f89b1408187838e937b3153c20e92ad6717bf74565533ef",
+    "low_ssr": "b80d1c7c96ecf0b26775fea97ae92cea1dae39144c9b3dc5864773244c711d6a",
+    "optimal_ssr": "29f4ceea2b16ae200541abc7a68e6846f82586091d2e06e7938fc75d39ab3362",
+}
+
+
 class TestDetect:
     def test_all_zero_record_empty_detections(self, tmp_path, capsys):
         record = MflRecord(samples=np.zeros((400, 16)), sampling_rate_hz=250.0,
@@ -114,6 +127,17 @@ class TestDetect:
                 assert (dump / f"seg{seg}_L{layer}_raw.pgm").exists()
                 assert (dump / f"seg{seg}_L{layer}_resp.pgm").exists()
                 assert (dump / f"seg{seg}_L{layer}_env.pgm").exists()
+
+    @pytest.mark.parametrize("preset", sorted(DUMP_DIGESTS))
+    def test_dump_stages_bytes_are_pinned(self, preset, tmp_path, capsys):
+        main(["generate", preset, "--out", str(tmp_path / "rope"), "--seed", "11"])
+        dump = tmp_path / "stages"
+        assert main(["detect", str(tmp_path / "rope.mfl"), "--out",
+                     str(tmp_path / "d.json"), "--dump-stages", str(dump)]) == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(dump.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == DUMP_DIGESTS[preset]
 
     def test_corrupt_record_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfl"

@@ -3,12 +3,14 @@
 Truncated and bit-flipped MFL1 records, CSV records with bad headers or rows,
 one config line per key with each hostile value, and bad ground-truth and
 detections JSON go through `detect`, `inspect`, `evaluate` and
-`evaluate --ablation`. Every case must end in exit 0, 2 or 3 with at most one
-line on stderr, no traceback, no "internal error", and no warning (outside a
-test run a warning prints two more lines on stderr).
+`evaluate --ablation`; hostile spec files go through `generate`. Every case
+must end in exit 0, 2 or 3 with at most one line on stderr, no traceback, no
+"internal error", and no warning (outside a test run a warning prints two
+more lines on stderr).
 """
 
 import json
+import typing
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from mflscan.cli import CONFIG_KEYS, main
 from mflscan.synth import GroundTruthFlaw, SynthSpec, generate
 
 HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "text")
+HOSTILE_SPEC_VALUES = (0, -1, float("nan"), float("inf"), 1e-300, "text")
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +183,37 @@ def test_bad_truth_and_detections_json(rope, capsys):
         cases.append((f"kernel {size}", ["evaluate", "--det", rope["det"],
                                          "--truth", rope["truth"], "--kernel-size", size]))
     check_all(cases, capsys)
+
+
+def test_hostile_spec_values(rope, capsys):
+    """Every numeric SynthSpec and GroundTruthFlaw field with each hostile value,
+    and spec files that are not a JSON object, through `generate`.
+
+    1e300 is left out: a finite huge size, such as a 1e300 m rope, is a memory
+    limit, not a parse error. A value that is not a finite number must write no
+    record.
+    """
+    spec = {"rope_length_m": 0.8, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250.0}
+    flaw = {"axial_position_m": 0.3}
+    payloads = {}
+    for cls in (SynthSpec, GroundTruthFlaw):
+        for name, kind in typing.get_type_hints(cls).items():
+            if kind not in (int, float):
+                continue
+            for value in HOSTILE_SPEC_VALUES:
+                fields = {name: value}
+                payload = ({**spec, **fields, "flaws": [flaw]} if cls is SynthSpec
+                           else {**spec, "flaws": [{**flaw, **fields}]})
+                payloads[f"{name} = {value!r}"] = json.dumps(payload)
+    payloads.update({"deep": "[" * 100_000, "string": '"x"', "list": "[]",
+                     # a stripe count beyond what numpy's Poisson sampler draws
+                     "stripes": json.dumps({**spec, "stripe_noise_rate_per_m": 1e20})})
+    failures = []
+    for i, (name, text) in enumerate(payloads.items()):
+        path = rope["root"] / f"spec{i}.json"
+        path.write_text(text)
+        out = rope["root"] / f"gen{i}"
+        failures += [f"{name}: {p}" for p in run_case(["generate", path, "--out", out], capsys)]
+        if any(bad in name for bad in ("nan", "inf", "text")) and out.with_suffix(".mfl").exists():
+            failures.append(f"{name}: wrote a record")
+    assert not failures, "\n".join(failures)

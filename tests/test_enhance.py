@@ -14,7 +14,7 @@ from mflscan.enhance import (
 )
 from mflscan.errors import ConfigInvalid, DimensionMismatch
 from mflscan.ingest import preprocess
-from mflscan.pipeline import process_segment
+from mflscan.pipeline import RunConfig, process_segment
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
 
@@ -342,9 +342,9 @@ class TestFuse:
         context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
         image = preprocess(record)[0]
         with pytest.raises(ValueError):
-            process_segment(image, context, cfg, fusion_mode="pyramidal")
+            process_segment(image, context, cfg, RunConfig(fusion_mode="pyramidal"))
         with pytest.raises(ValueError):
-            process_segment(image, context, cfg, method="foo")
+            process_segment(image, context, cfg, RunConfig(method="foo"))
 
     def test_result_type(self):
         out = fuse(self._layers(), (0.5, 0.3, 0.2))

@@ -12,6 +12,7 @@ from mflscan.evaluate import (
     score,
 )
 from mflscan.localize import Detection
+from mflscan.pipeline import RunConfig
 from mflscan.synth import GroundTruthFlaw, make_eval_dataset, scenario_presets
 
 
@@ -129,7 +130,7 @@ class TestEvalReport:
 
 class TestRunAblation:
     def test_unknown_method_rejected(self):
-        # the method is checked once, in the plan process_record makes
+        # the method is checked once, by RunConfig
         preset = scenario_presets()["optimal_ssr"]
         dataset = make_eval_dataset(preset, 1, base_seed=0)
         with pytest.raises(ConfigInvalid, match="gradient_descent"):
@@ -149,11 +150,11 @@ class TestRunAblation:
     def test_run_settings_reach_the_pipeline(self):
         preset = scenario_presets()["optimal_ssr"]
         dataset = make_eval_dataset(preset, 1, base_seed=0)
-        report = run_ablation(dataset, "adaptive", min_area_px=10**6)
+        report = run_ablation(dataset, "adaptive", run=RunConfig(min_area_px=10**6))
         assert (report.tp, report.fp) == (0, 0)
         for bad in ({"fusion_mode": "bogus"}, {"threshold_step": 0.0}):
             with pytest.raises(ConfigInvalid):
-                run_ablation(dataset, "adaptive", **bad)
+                run_ablation(dataset, "adaptive", run=RunConfig(**bad))
 
     def test_optimal_preset_record_fully_detected(self):
         preset = scenario_presets()["optimal_ssr"]

@@ -8,7 +8,7 @@ that a reordered floating-point sum does not count as a change.
 import hashlib
 
 from mflscan.evaluate import METHODS
-from mflscan.pipeline import process_record
+from mflscan.pipeline import RunConfig, process_record
 from mflscan.synth import make_eval_dataset, scenario_presets
 
 BASE_SEED = 7
@@ -25,7 +25,8 @@ def detections_digest(methods=METHODS, **options):
     for preset in scenario_presets().values():
         for record, _ in make_eval_dataset(preset, RECORDS_PER_PRESET, BASE_SEED):
             for method in methods:
-                for d in process_record(record, method=method, **options).detections:
+                run = RunConfig(method=method, **options)
+                for d in process_record(record, run=run).detections:
                     lines.append(
                         f"{record.label} {method} {d.segment_index} {d.box} "
                         f"{d.axial_start_m!r} {d.axial_end_m!r} {round(d.score, 9)!r}"

@@ -13,11 +13,9 @@ from mflscan.localize import (
     binarize,
     extract_components,
 )
-from mflscan.pipeline import method_plan
-from mflscan.ssr import AdaptiveConfig, build_context
+from mflscan.pipeline import RunConfig
 
-CFG = AdaptiveConfig()
-CONTEXT = build_context(250.0, 0.5, CFG)
+STEP = RunConfig().threshold_step
 
 
 def fused(pixels):
@@ -29,13 +27,13 @@ def naive_region_counts(norm, thresholds):
     return tuple(label(norm >= t, structure=EIGHT_CONNECTED)[1] for t in thresholds)
 
 
-def naive_extract_components(binary, intensity, min_area_px, radial_wrap):
+def naive_extract_components(binary, intensity, min_area_px):
     """Reference for `extract_components`: one full-image mask per label.
 
     Returns (box, score) pairs in the order extract_components emits them.
     """
     labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
-    if radial_wrap and n_regions > 1:
+    if n_regions > 1:
         labeled = _wrap_merge(labeled, n_regions)
     found = []
     for idx in np.unique(labeled):
@@ -49,6 +47,13 @@ def naive_extract_components(binary, intensity, min_area_px, radial_wrap):
         found.append((box, float(intensity[mask].mean())))
     found.sort(key=lambda item: item[0][0])
     return found
+
+
+def components(binary, min_area_px=4, intensity=None, origin_sample=0, f_spatial=100.0):
+    """`extract_components` of segment 1; `binary` is its own intensity unless one is given."""
+    intensity = binary.astype(float) if intensity is None else intensity
+    return extract_components(binary, intensity, min_area_px, segment_index=1,
+                              origin_sample=origin_sample, f_spatial=f_spatial)
 
 
 def random_blobs(rng, shape, levels):
@@ -67,12 +72,12 @@ class TestAdaptiveThreshold:
         img = np.zeros((20, 20))
         img[2:5, 2:5] = 1.0
         img[12:15, 12:15] = 1.0
-        scan = adaptive_threshold(fused(img))
+        scan = adaptive_threshold(fused(img), STEP)
         assert set(scan.region_counts) == {2}
         assert scan.chosen_threshold == pytest.approx(0.5)
 
     def test_all_zero_image_sentinel(self):
-        scan = adaptive_threshold(fused(np.zeros((10, 10))))
+        scan = adaptive_threshold(fused(np.zeros((10, 10))), STEP)
         assert scan.thresholds == ()
         assert scan.chosen_threshold == 1.0
 
@@ -81,7 +86,7 @@ class TestAdaptiveThreshold:
         img = rng.uniform(0, 0.22, size=(30, 30))
         img[24, 7] = 0.22  # pin speckle peak so the clean plateau starts at 0.25
         img[10:14, 10:14] = 1.0
-        scan = adaptive_threshold(fused(img))
+        scan = adaptive_threshold(fused(img), STEP)
         assert scan.chosen_threshold == pytest.approx(0.6)
         idx = scan.thresholds.index(0.6)
         assert scan.region_counts[idx] == 1
@@ -93,7 +98,7 @@ class TestAdaptiveThreshold:
         img[2:5, 2:5] = 1.0
         img[12:15, 12:15] = 0.5
         img[17, 2] = 0.05
-        scan = adaptive_threshold(fused(img))
+        scan = adaptive_threshold(fused(img), STEP)
         counts = np.array(scan.region_counts)
         assert counts[scan.thresholds.index(0.05)] == 3
         assert counts[scan.thresholds.index(0.3)] == 2
@@ -101,17 +106,17 @@ class TestAdaptiveThreshold:
         assert scan.chosen_threshold == pytest.approx(0.75)
 
     def test_rejects_step_outside_unit_interval(self):
-        # the step is checked once, in the run's plan
+        # the step is checked once, by RunConfig
         for step in (0.0, -0.1, 1.0, 2.0, float("nan"), 1e-300):
             with pytest.raises(ConfigInvalid, match="threshold_step"):
-                method_plan(CONTEXT, CFG, (200, 200), threshold_step=step)
+                RunConfig(threshold_step=step)
 
     def test_every_count_at_least_one(self):
         rng = np.random.default_rng(12)
         for step in (0.05, 0.1, 1 / 3, 0.3, 0.9):
             for _ in range(20):
                 img = rng.uniform(0, 1, size=(12, 12)) ** 4
-                scan = adaptive_threshold(fused(img), step=step)
+                scan = adaptive_threshold(fused(img), step)
                 assert scan.thresholds and min(scan.region_counts) >= 1
                 assert 0 < scan.chosen_threshold <= 1
 
@@ -123,14 +128,14 @@ class TestAdaptiveThreshold:
                 img = random_blobs(rng, shape, levels=int(rng.integers(2, 21)))
                 if not img.any():
                     continue
-                scan = adaptive_threshold(fused(img), step=step)
+                scan = adaptive_threshold(fused(img), step)
                 norm = img / img.max()
                 assert scan.region_counts == naive_region_counts(norm, scan.thresholds)
 
     def test_thresholds_strictly_increasing(self):
         img = np.zeros((10, 10))
         img[4, 4] = 1.0
-        scan = adaptive_threshold(fused(img))
+        scan = adaptive_threshold(fused(img), STEP)
         assert np.all(np.diff(scan.thresholds) > 0)
         assert len(scan.thresholds) == len(scan.region_counts)
 
@@ -162,10 +167,10 @@ class TestBinarize:
 
     def test_rejects_out_of_range_threshold(self):
         # binarize takes the scan's chosen threshold, which lies in (0, 1]
-        # because the plan refuses steps outside [0.001, 1)
+        # because RunConfig refuses steps outside [0.001, 1)
         for step in (0.0, 1.5):
             with pytest.raises(ConfigInvalid, match="threshold_step"):
-                method_plan(CONTEXT, CFG, (200, 200), threshold_step=step)
+                RunConfig(threshold_step=step)
         rng = np.random.default_rng(13)
         for step in (0.001, 0.05, 0.3, 0.999):
             chosen = adaptive_threshold(fused(rng.uniform(size=(9, 9))), step).chosen_threshold
@@ -176,17 +181,17 @@ class TestExtractComponents:
     def test_diagonal_pixels_are_one_component(self):
         binary = np.zeros((6, 6), dtype=np.uint8)
         binary[2, 2] = binary[3, 3] = binary[2, 3] = binary[3, 2] = 1
-        dets = extract_components(binary, min_area_px=4)
+        dets = components(binary)
         assert len(dets) == 1
 
     def test_empty_binary_gives_no_detections(self):
-        assert extract_components(np.zeros((10, 10), dtype=np.uint8)) == []
+        assert components(np.zeros((10, 10), dtype=np.uint8)) == []
 
     def test_two_blocks_boxes(self):
         binary = np.zeros((50, 50), dtype=np.uint8)
         binary[10:13, 10:13] = 1
         binary[40:43, 40:43] = 1
-        dets = extract_components(binary, min_area_px=4)
+        dets = components(binary)
         assert len(dets) == 2
         assert dets[0].box == (10, 12, 10, 12)
         assert dets[1].box == (40, 42, 40, 42)
@@ -195,24 +200,24 @@ class TestExtractComponents:
         binary = np.zeros((10, 10), dtype=np.uint8)
         binary[1, 1] = 1  # single pixel, below min area
         binary[5:8, 5:8] = 1
-        dets = extract_components(binary, min_area_px=4)
+        dets = components(binary)
         assert len(dets) == 1
         assert dets[0].box == (5, 7, 5, 7)
 
     def test_rejects_min_area_below_one(self):
         binary = np.ones((4, 4), dtype=np.uint8)
-        assert len(extract_components(binary, min_area_px=1)) == 1
-        # the minimum area is checked once, in the run's plan
+        assert len(components(binary, min_area_px=1)) == 1
+        # the minimum area is checked once, by RunConfig
         for min_area in (0, -3):
             with pytest.raises(ConfigInvalid, match="min_area_px"):
-                method_plan(CONTEXT, CFG, (200, 200), min_area_px=min_area)
+                RunConfig(min_area_px=min_area)
 
     def test_score_is_component_mean_intensity(self):
         binary = np.zeros((10, 10), dtype=np.uint8)
         binary[2:4, 2:4] = 1
         intensity = np.zeros((10, 10))
         intensity[2:4, 2:4] = [[0.4, 0.6], [0.8, 1.0]]
-        dets = extract_components(binary, intensity, min_area_px=4)
+        dets = components(binary, intensity=intensity)
         assert dets[0].score == pytest.approx(0.7)
 
     def test_radial_wrap_merges_seam_component(self):
@@ -220,16 +225,14 @@ class TestExtractComponents:
         binary = np.zeros((20, 20), dtype=np.uint8)
         binary[0:2, 8:12] = 1
         binary[18:20, 8:12] = 1
-        assert len(extract_components(binary, min_area_px=4)) == 2
-        merged = extract_components(binary, min_area_px=4, radial_wrap=True)
+        merged = components(binary)
         assert len(merged) == 1
+        assert merged[0].box == (8, 11, 0, 19)
 
     def test_physical_coordinates(self):
         binary = np.zeros((10, 30), dtype=np.uint8)
         binary[4:6, 10:14] = 1
-        dets = extract_components(
-            binary, min_area_px=4, origin_sample=200, f_spatial=100.0
-        )
+        dets = components(binary, origin_sample=200, f_spatial=100.0)
         det = dets[0]
         assert det.axial_start_m == pytest.approx((200 + 10) / 100.0)
         assert det.axial_end_m == pytest.approx((200 + 14) / 100.0)
@@ -239,7 +242,7 @@ class TestExtractComponents:
         binary = np.zeros((10, 40), dtype=np.uint8)
         binary[2:5, 30:33] = 1
         binary[2:5, 5:8] = 1
-        dets = extract_components(binary, min_area_px=4)
+        dets = components(binary)
         assert [d.box[0] for d in dets] == [5, 30]
 
     def test_matches_mask_loop_oracle(self):
@@ -251,9 +254,8 @@ class TestExtractComponents:
                 img[0, rng.integers(0, shape[1])] = img[-1, rng.integers(0, shape[1])] = 1.0
             binary = (img >= rng.uniform(0.05, 0.9)).astype(np.uint8)
             min_area = int(rng.integers(1, 6))
-            radial_wrap = bool(rng.uniform() < 0.7)
-            dets = extract_components(binary, img, min_area, radial_wrap=radial_wrap)
-            expected = naive_extract_components(binary, img, min_area, radial_wrap)
+            dets = components(binary, min_area, intensity=img)
+            expected = naive_extract_components(binary, img, min_area)
             assert [d.box for d in dets] == [box for box, _ in expected]
             np.testing.assert_allclose(
                 [d.score for d in dets], [score for _, score in expected], rtol=0, atol=1e-12
@@ -265,5 +267,5 @@ class TestExtractComponents:
         binary[0:2, 3:6] = 1
         binary[5:7, 8:11] = 1
         binary[10:12, 5:8] = 1
-        dets = extract_components(binary, min_area_px=4, radial_wrap=True)
+        dets = components(binary)
         assert [d.box for d in dets] == [(3, 7, 0, 11), (8, 10, 5, 6)]

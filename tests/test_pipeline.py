@@ -8,9 +8,9 @@ from dataclasses import replace
 import pytest
 
 from mflscan import pipeline
-from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
+from mflscan.errors import ImageTooSmall, LayerSmallerThanKernel
 from mflscan.ingest import PreprocessConfig, preprocess
-from mflscan.pipeline import METHODS, method_plan, process_record, process_segment
+from mflscan.pipeline import METHODS, RunConfig, method_plan, process_record, process_segment
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
 
@@ -30,32 +30,32 @@ class TestMethodPlan:
     def test_table(self, optimal):
         _, cfg, context = optimal
         w1, w2, w3 = context.weights
-        assert method_plan(context, cfg, SHAPE, "single_scale") == (
+        assert method_plan(context, cfg, SHAPE, RunConfig("single_scale")) == (
             cfg.kernel_base, (1.0, 0.0, 0.0)
         )
-        assert method_plan(context, cfg, SHAPE, "unweighted_multiscale") == (
+        assert method_plan(context, cfg, SHAPE, RunConfig("unweighted_multiscale")) == (
             context.kernel_size, (1 / 3, 1 / 3, 1 / 3)
         )
-        assert method_plan(context, cfg, SHAPE, "adaptive", "flat") == (
+        assert method_plan(context, cfg, SHAPE, RunConfig("adaptive", "flat")) == (
             context.kernel_size, (w1, w2, w3)
         )
-        kernel, weights = method_plan(context, cfg, SHAPE, "adaptive", "recursive")
+        kernel, weights = method_plan(context, cfg, SHAPE, RunConfig("adaptive", "recursive"))
         assert kernel == context.kernel_size
         assert weights == pytest.approx((w1, (1 - w1) * w2, (1 - w1) * (1 - w2)), abs=1e-15)
         assert sum(weights) == pytest.approx(1.0)
 
-    def test_unknown_names_rejected(self, optimal):
-        _, cfg, context = optimal
+    def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="method"):
-            method_plan(context, cfg, SHAPE, "foo")
+            RunConfig("foo")
         with pytest.raises(ValueError, match="fusion mode"):
-            method_plan(context, cfg, SHAPE, "adaptive", "pyramidal")
+            RunConfig("adaptive", "pyramidal")
 
     def test_record_kernel_size_from_plan(self, optimal):
         record, cfg, context = optimal
         for method in METHODS:
-            result = process_record(record, method=method)
-            plan = method_plan(context, cfg, SHAPE, method)
+            run = RunConfig(method)
+            result = process_record(record, run=run)
+            plan = method_plan(context, cfg, SHAPE, run)
             assert (result.kernel_size, result.fusion_weights) == plan
 
     def test_record_planned_once_before_preprocessing(self, optimal, monkeypatch):
@@ -72,14 +72,11 @@ class TestMethodPlan:
 
         monkeypatch.setattr(pipeline, "method_plan", recording_plan)
         monkeypatch.setattr(pipeline, "preprocess", no_preprocess)
-        for bad in ({"threshold_step": 5}, {"min_area_px": 0}, {"method": "foo"}):
-            with pytest.raises(ConfigInvalid):
-                process_record(record, **bad)
         with pytest.raises(LayerSmallerThanKernel, match="alpha"):
             process_record(record, adaptive_cfg=AdaptiveConfig(alpha=1e300))
         with pytest.raises(ImageTooSmall, match="segment_length"):
             process_record(record, PreprocessConfig(segment_length=3))
-        assert calls == [SHAPE] * 4 + [(200, 3)]
+        assert calls == [SHAPE, (200, 3)]
 
 
 class TestLayerSkipping:
@@ -98,7 +95,7 @@ class TestLayerSkipping:
             ("single_scale", 1), ("unweighted_multiscale", 3), ("adaptive", 3)
         ):
             calls.clear()
-            process_segment(image, context, cfg, method=method)
+            process_segment(image, context, cfg, RunConfig(method))
             assert len(calls) == expected, method
             assert calls[0] == image.pixels.shape
 
@@ -114,13 +111,13 @@ class TestLayerSkipping:
         monkeypatch.setattr(pipeline, "build_template", no_template)
         for method in METHODS:
             with pytest.raises(LayerSmallerThanKernel):
-                process_segment(image, context, cfg, method=method)
+                process_segment(image, context, cfg, RunConfig(method))
         # K_a = ceil(51 + 5 * 2/3) = 55 fits L1 and L2 but not L3 (50 x 50)
         cfg = AdaptiveConfig(kernel_base=51)
         context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
         assert context.kernel_size == 55
         with pytest.raises(LayerSmallerThanKernel):
-            process_segment(image, context, cfg, method="unweighted_multiscale")
+            process_segment(image, context, cfg, RunConfig("unweighted_multiscale"))
 
     def test_adaptive_equals_single_scale_at_unit_mu(self):
         # f_spatial = 250 / 2.0 = 125 samples/m, below the extreme reference
@@ -128,8 +125,8 @@ class TestLayerSkipping:
         preset = scenario_presets()["low_ssr"]
         spec = replace(preset, inspection_speed_mps=2.0, rope_length_m=801 / 125.0)
         record, _ = generate(spec)
-        adaptive = process_record(record, method="adaptive")
-        single = process_record(record, method="single_scale")
+        adaptive = process_record(record, run=RunConfig("adaptive"))
+        single = process_record(record, run=RunConfig("single_scale"))
         assert adaptive.context.mu == 1.0
         assert adaptive.kernel_size == single.kernel_size == AdaptiveConfig().kernel_base
         assert adaptive.detections

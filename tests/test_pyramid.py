@@ -5,7 +5,7 @@ import pytest
 
 from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
 from mflscan.ingest import MflImage
-from mflscan.pipeline import method_plan
+from mflscan.pipeline import RunConfig, method_plan
 from mflscan.pyramid import build_pyramid, build_template, match
 from mflscan.ssr import AdaptiveConfig, build_context
 
@@ -82,7 +82,7 @@ class TestBuildPyramid:
     def test_too_small_rejected(self):
         # the segment shape is checked once, in the run's plan
         with pytest.raises(ImageTooSmall, match="image_height x segment_length"):
-            method_plan(CONTEXT, CFG, (3, 10), "single_scale")
+            method_plan(CONTEXT, CFG, (3, 10), RunConfig(method="single_scale"))
 
 
 class TestBuildTemplate:
@@ -159,4 +159,4 @@ class TestMatch:
     def test_layer_smaller_than_kernel_rejected(self):
         # L1 of a 4 x 10 segment is smaller than kernel_base = 5
         with pytest.raises(LayerSmallerThanKernel, match="kernel_base"):
-            method_plan(CONTEXT, CFG, (4, 10), "single_scale")
+            method_plan(CONTEXT, CFG, (4, 10), RunConfig(method="single_scale"))

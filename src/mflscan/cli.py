@@ -49,7 +49,7 @@ def load_config(path: Path | str) -> dict:
     """The typed values a flat `key = value` config file sets; unknown keys are rejected."""
     values = {}
     path = Path(path)
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(formats.read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -83,7 +83,7 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
                 f"{spec_arg!r} is neither a preset ({', '.join(presets)}) nor a file"
             )
         try:
-            payload = json.loads(path.read_text())
+            payload = json.loads(formats.read_text(path))
         except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: {exc}") from exc
         if not isinstance(payload, dict):
@@ -252,9 +252,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, SpecInvalid, FileNotFoundError) as exc:
+    except (FormatError, SpecInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as exc:  # each input reader maps its own OSError to FormatError
+        print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except MflError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -8,42 +8,24 @@ weight per layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import DimensionMismatch
 
 
-@dataclass(frozen=True)
-class EnhancedLayer:
-    gamma_image: np.ndarray
-    envelope_image: np.ndarray
-
-
-@dataclass(frozen=True)
-class FusedImage:
-    pixels: np.ndarray
-
-    @cached_property
-    def normalized(self) -> np.ndarray:
-        """Pixels divided by their peak; all zeros when the peak is not positive."""
-        pixels = np.asarray(self.pixels, dtype=float)
-        peak = pixels.max() if pixels.size else 0.0
-        return pixels / peak if peak > 0 else np.zeros_like(pixels)
+def peak_normalize(image: np.ndarray) -> np.ndarray:
+    """The image divided by its peak; all zeros when the peak is not positive."""
+    image = np.asarray(image, dtype=float)
+    peak = image.max() if image.size else 0.0
+    return image / peak if peak > 0 else np.zeros_like(image)
 
 
 def gamma_enhance(response: np.ndarray, gamma: float) -> np.ndarray:
-    """Rescale a response to [0, 1] by its own maximum, then raise to gamma.
+    """Rescale a response to [0, 1] by its own peak, then raise to gamma.
 
     An all-zero response passes through as zeros.
     """
-    response = np.asarray(response, dtype=float)
-    peak = response.max() if response.size else 0.0
-    if peak <= 0:
-        return np.zeros_like(response)
-    return (response / peak) ** gamma
+    return peak_normalize(response) ** gamma
 
 
 def _maxima_mask(enhanced: np.ndarray) -> np.ndarray:
@@ -134,7 +116,7 @@ def upsample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> FusedImage:
+def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float]) -> np.ndarray:
     """Blend 1 to 3 envelope layers, finest first, into one full-resolution image.
 
     The result is w1*F1 + w2*up(F2) + w3*up(up(F3)), where each layer halves
@@ -155,9 +137,10 @@ def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float])
     fused = weights[n - 1] * layers[n - 1]
     for j in range(n - 2, -1, -1):
         fused = weights[j] * layers[j] + upsample_bilinear(fused, layers[j].shape)
-    return FusedImage(pixels=fused)
+    return fused
 
 
-def enhance_layer(response: np.ndarray, gamma: float) -> EnhancedLayer:
+def enhance_layer(response: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The gamma-enhanced response and its envelope."""
     gamma_image = gamma_enhance(response, gamma)
-    return EnhancedLayer(gamma_image=gamma_image, envelope_image=envelope(gamma_image))
+    return gamma_image, envelope(gamma_image)

@@ -18,6 +18,14 @@ MAGIC = b"MFL1"
 SCHEMA_VERSION = 1
 
 
+def read_text(path: Path) -> str:
+    """The text of an input file; one that cannot be read or decoded is a FormatError."""
+    try:
+        return path.read_text()
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def write_record_binary(path: Path | str, record: MflRecord):
     """magic 'MFL1', u32 M, u32 N, f64 fs, f64 v, then M*N f64 row-major."""
     samples = np.ascontiguousarray(record.samples, dtype="<f8")
@@ -98,8 +106,11 @@ def read_record_csv(path: Path | str, label: str | None = None) -> MflRecord:
 def read_record(path: Path | str) -> MflRecord:
     """Dispatch on the magic bytes: binary MFL1 or headered CSV."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from exc
     if magic == MAGIC:
         return read_record_binary(path)
     return read_record_csv(path)
@@ -141,7 +152,7 @@ def write_ground_truth(path: Path | str, flaws: list[GroundTruthFlaw]):
 def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(read_text(path))
         return [
             GroundTruthFlaw(
                 axial_position_m=float(entry["axial_m"]),
@@ -180,7 +191,7 @@ def write_detections(
 def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
+        payload = json.loads(read_text(path))
         detections = [
             Detection(
                 box=tuple(int(x) for x in entry["box"]),

@@ -61,14 +61,16 @@ class MflImage:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
+    """Sizes in samples and pixels; each at most 2**32 - 1, the MFL1 header's bound on M and N."""
+
     half_span_la: int = 100
     image_height: int = 200
     segment_length: int = 200
 
     def __post_init__(self):
         for name in ("half_span_la", "image_height", "segment_length"):
-            if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= 2**32 - 1:
+                raise ConfigInvalid(f"{name} must lie in [1, 2**32 - 1]")
 
 
 def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:

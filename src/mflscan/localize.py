@@ -9,8 +9,6 @@ from itertools import groupby
 import numpy as np
 from scipy.ndimage import find_objects, label
 
-from .enhance import FusedImage
-
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
 
@@ -39,17 +37,16 @@ class ThresholdScan:
     chosen_threshold: float
 
 
-def adaptive_threshold(fused: FusedImage, step: float) -> ThresholdScan:
+def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
     """Sweep binarization thresholds and pick the most stable one.
 
-    Every threshold in {step, 2*step, ...} < 1 is applied to the max-normalized
-    fused image and the 8-connected white regions are counted; the peak pixel
-    passes every threshold, so each count is at least 1. The chosen threshold
-    is the midpoint of the longest contiguous plateau of constant region
-    count; ties break toward the higher plateau. An all-zero image yields an
-    empty scan with sentinel 1.0.
+    Every threshold in {step, 2*step, ...} < 1 is applied to the peak-normalized
+    fused image `norm` and the 8-connected white regions are counted; the peak
+    pixel passes every threshold, so each count is at least 1. The chosen
+    threshold is the midpoint of the longest contiguous plateau of constant
+    region count; ties break toward the higher plateau. An all-zero image
+    yields an empty scan with sentinel 1.0.
     """
-    norm = fused.normalized
     if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     count = int(math.ceil(1.0 / step)) - 1
@@ -77,9 +74,9 @@ def adaptive_threshold(fused: FusedImage, step: float) -> ThresholdScan:
     )
 
 
-def binarize(fused: FusedImage, threshold: float) -> np.ndarray:
-    """White (1) wherever the max-normalized fused value reaches the threshold."""
-    return (fused.normalized >= threshold).astype(np.uint8)
+def binarize(norm: np.ndarray, threshold: float) -> np.ndarray:
+    """White (1) wherever the peak-normalized fused value reaches the threshold."""
+    return (norm >= threshold).astype(np.uint8)
 
 
 def _wrap_merge(labeled: np.ndarray, n_regions: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import formats
-from .enhance import enhance_layer, fuse
+from .enhance import enhance_layer, fuse, peak_normalize
 from .errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
@@ -131,21 +131,23 @@ def process_segment(
 
     Only the layers from L1 down to the coarsest one with a nonzero weight are
     matched and enhanced. Returns the segment's detections and the threshold
-    the stability scan chose. Pure function of its inputs; segments may be
-    processed in parallel. `method_plan` checks the settings against the
-    image's shape.
+    the stability scan chose. Without `dump_dir` it is a pure function of its
+    inputs; with it, it also writes each stage's images there as PGM files.
+    Segments may be processed in parallel. `method_plan` checks the settings
+    against the image's shape.
     """
     kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, run)
     used = max(j for j, w in enumerate(weights, start=1) if w)
-    layers = build_pyramid(image).layers[:used]
+    layers = build_pyramid(image.pixels)[:used]
     template = build_template(kernel_size)
     enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
-    fused = fuse(tuple(e.envelope_image for e in enhanced), weights)
+    fused = fuse(tuple(env for _, env in enhanced), weights)
 
-    scan = adaptive_threshold(fused, run.threshold_step)
+    norm = peak_normalize(fused)
+    scan = adaptive_threshold(norm, run.threshold_step)
     detections = extract_components(
-        binarize(fused, scan.chosen_threshold),
-        fused.normalized,
+        binarize(norm, scan.chosen_threshold),
+        norm,
         run.min_area_px,
         segment_index=image.segment_index,
         origin_sample=image.origin_sample,
@@ -154,15 +156,11 @@ def process_segment(
 
     if dump_dir is not None:
         i = image.segment_index
-        formats.write_pgm(dump_dir / f"seg{i}_fused.pgm", fused.pixels, signed=False)
-        for j, (layer, enh) in enumerate(zip(layers, enhanced), start=1):
+        formats.write_pgm(dump_dir / f"seg{i}_fused.pgm", fused, signed=False)
+        for j, (layer, (gamma_image, env)) in enumerate(zip(layers, enhanced), start=1):
             formats.write_pgm(dump_dir / f"seg{i}_L{j}_raw.pgm", layer, signed=True)
-            formats.write_pgm(
-                dump_dir / f"seg{i}_L{j}_resp.pgm", enh.gamma_image, signed=False
-            )
-            formats.write_pgm(
-                dump_dir / f"seg{i}_L{j}_env.pgm", enh.envelope_image, signed=False
-            )
+            formats.write_pgm(dump_dir / f"seg{i}_L{j}_resp.pgm", gamma_image, signed=False)
+            formats.write_pgm(dump_dir / f"seg{i}_L{j}_env.pgm", env, signed=False)
 
     return detections, scan.chosen_threshold
 

@@ -3,8 +3,9 @@
 Truncated and bit-flipped MFL1 records, CSV records with bad headers or rows,
 one config line per key with each hostile value, and bad ground-truth and
 detections JSON go through `detect`, `inspect`, `evaluate` and
-`evaluate --ablation`; hostile spec files go through `generate`. Every case
-must end in exit 0, 2 or 3 with at most one line on stderr, no traceback, no
+`evaluate --ablation`; hostile spec files go through `generate`. Paths that
+cannot be read (exit 3) or written (exit 2) go through every command. Every
+case must end in exit 0, 2 or 3 with at most one line on stderr, no traceback, no
 "internal error", and no warning (outside a test run a warning prints two
 more lines on stderr).
 """
@@ -20,7 +21,8 @@ from mflscan import formats
 from mflscan.cli import CONFIG_KEYS, main
 from mflscan.synth import GroundTruthFlaw, SynthSpec, generate
 
-HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "text")
+# a 31-digit integer: as image_height it exceeds numpy's largest array size
+HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "text", "1" + "0" * 30)
 HOSTILE_SPEC_VALUES = (0, -1, float("nan"), float("inf"), 1e-300, "text")
 
 
@@ -39,7 +41,7 @@ def rope(tmp_path_factory):
     return paths
 
 
-def run_case(argv, capsys):
+def run_case(argv, capsys, expect=(0, 2, 3)):
     """Problems with one run of `main`, as a list of strings (empty when fine)."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
@@ -50,7 +52,7 @@ def run_case(argv, capsys):
             return [f"raised {exc!r}"]
     err = capsys.readouterr().err
     problems = []
-    if code not in (0, 2, 3):
+    if code not in expect:
         problems.append(f"exit {code}")
     if err.count("\n") > 1 or "Traceback" in err or "internal error" in err:
         problems.append(f"stderr {err!r}")
@@ -216,4 +218,38 @@ def test_hostile_spec_values(rope, capsys):
         failures += [f"{name}: {p}" for p in run_case(["generate", path, "--out", out], capsys)]
         if any(bad in name for bad in ("nan", "inf", "text")) and out.with_suffix(".mfl").exists():
             failures.append(f"{name}: wrote a record")
+    assert not failures, "\n".join(failures)
+
+
+def test_unreadable_inputs_and_unwritable_outputs(rope, capsys):
+    """An input that cannot be read exits 3, an output that cannot be written exits 2."""
+    root, record, truth = rope["root"], rope["record"], rope["truth"]
+    folder = root / "a_folder"
+    folder.mkdir(exist_ok=True)
+    undecodable = root / "latin1.cfg"
+    undecodable.write_bytes(b"gamma = 2 \xe9\n")
+    unreadable = [
+        ["detect", folder],
+        ["inspect", folder],
+        ["detect", record, "--config", folder],
+        ["detect", record, "--config", undecodable],
+        ["generate", folder, "--out", root / "gen_folder"],
+        ["evaluate", "--det", folder, "--truth", truth],
+        ["evaluate", "--det", rope["det"], "--truth", folder],
+        ["evaluate", "--ablation", "--record", folder, "--truth", truth],
+        ["evaluate", "--ablation", "--record", record, "--truth", folder],
+    ]
+    unwritable = [
+        ["detect", record, "--out", folder],
+        ["detect", record, "--out", root / "missing" / "x.json"],
+        ["detect", record, "--dump-stages", record],
+        ["inspect", record, "--dump-stages", record],
+        ["generate", "optimal_ssr", "--out", record / "rope"],
+        ["evaluate", "--det", rope["det"], "--truth", truth, "--out", folder],
+    ]
+    failures = []
+    for expect, cases in ((3, unreadable), (2, unwritable)):
+        for argv in cases:
+            failures += [f"{' '.join(map(str, argv))}: {p}"
+                         for p in run_case(argv, capsys, expect=(expect,))]
     assert not failures, "\n".join(failures)

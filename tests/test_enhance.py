@@ -5,11 +5,11 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from mflscan.enhance import (
-    FusedImage,
     _maxima_mask,
     envelope,
     fuse,
     gamma_enhance,
+    peak_normalize,
     upsample_bilinear,
 )
 from mflscan.errors import ConfigInvalid, DimensionMismatch
@@ -108,6 +108,22 @@ def naive_flat_fuse(f1, f2, f3, w1, w2, w3):
         + w2 * naive_upsample_bilinear(f2, f1.shape)
         + w3 * naive_upsample_bilinear(naive_upsample_bilinear(f3, f2.shape), f1.shape)
     )
+
+
+class TestPeakNormalize:
+    def test_divides_by_peak(self):
+        image = np.array([[0.5, 2.0], [-1.0, 1.0]])
+        assert np.array_equal(peak_normalize(image), image / 2.0)
+
+    def test_non_positive_peak_gives_zeros(self):
+        for image in (np.zeros((3, 4)), np.full((2, 2), -0.5), np.zeros((0, 5))):
+            out = peak_normalize(image)
+            assert out.shape == image.shape and not out.any()
+
+    def test_gamma_enhance_is_normalized_power(self):
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0, 4, size=(9, 13))
+        assert np.array_equal(gamma_enhance(c, 2.5), peak_normalize(c) ** 2.5)
 
 
 class TestGammaEnhance:
@@ -272,13 +288,13 @@ class TestFuse:
     def test_full_weight_on_fine_layer(self):
         f1, f2, f3 = self._layers()
         out = fuse((f1, f2, f3), (1.0, 0.0, 0.0))
-        assert np.allclose(out.pixels, f1)
+        assert np.allclose(out, f1)
 
     def test_full_weight_on_coarse_layer(self):
         f1, f2, f3 = self._layers()
         out = fuse((f1, f2, f3), (0.0, 0.0, 1.0))
         expected = upsample_bilinear(upsample_bilinear(f3, f2.shape), f1.shape)
-        assert np.allclose(out.pixels, expected)
+        assert np.allclose(out, expected)
 
     def test_constant_layers_fixture(self):
         f1 = np.full((8, 8), 0.4)
@@ -286,7 +302,7 @@ class TestFuse:
         f3 = np.full((2, 2), 0.4)
         for weights in ((0.25, 0.5, 0.25), (0.6, 0.3, 0.1)):
             out = fuse((f1, f2, f3), weights)
-            assert np.allclose(out.pixels, 0.4)
+            assert np.allclose(out, 0.4)
 
     def test_matches_naive_oracles(self):
         rng = np.random.default_rng(11)
@@ -296,18 +312,18 @@ class TestFuse:
             f2 = rng.uniform(0, 1, size=(shape[0] // 2, shape[1] // 2))
             f3 = rng.uniform(0, 1, size=(shape[0] // 4, shape[1] // 4))
             w1, w2, w3 = rng.dirichlet((1.0, 1.0, 1.0))
-            flat = fuse((f1, f2, f3), (w1, w2, w3)).pixels
+            flat = fuse((f1, f2, f3), (w1, w2, w3))
             assert np.allclose(flat, naive_flat_fuse(f1, f2, f3, w1, w2, w3),
                                rtol=0, atol=1e-12)
             effective = (w1, (1 - w1) * w2, (1 - w1) * (1 - w2))
-            recursive = fuse((f1, f2, f3), effective).pixels
+            recursive = fuse((f1, f2, f3), effective)
             assert np.allclose(recursive, naive_recursive_fuse(f1, f2, f3, w1, w2),
                                rtol=0, atol=1e-12)
 
     def test_fewer_layers(self):
         f1, f2, f3 = self._layers(seed=8)
-        assert np.array_equal(fuse((f1,), (1.0, 0.0, 0.0)).pixels, f1)
-        two = fuse((f1, f2), (0.7, 0.3, 0.0)).pixels
+        assert np.array_equal(fuse((f1,), (1.0, 0.0, 0.0)), f1)
+        two = fuse((f1, f2), (0.7, 0.3, 0.0))
         assert np.allclose(two, naive_flat_fuse(f1, f2, f3, 0.7, 0.3, 0.0),
                            rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
@@ -318,8 +334,8 @@ class TestFuse:
         lo = min(f.min() for f in (f1, f2, f3))
         hi = max(f.max() for f in (f1, f2, f3))
         out = fuse((f1, f2, f3), (0.25, 0.5, 0.25))
-        assert out.pixels.min() >= lo - 1e-12
-        assert out.pixels.max() <= hi + 1e-12
+        assert out.min() >= lo - 1e-12
+        assert out.max() <= hi + 1e-12
 
     def test_flaw_value_nondecreasing_in_fine_weight(self):
         f1, f2, f3 = self._layers(seed=6)
@@ -329,7 +345,7 @@ class TestFuse:
         values = []
         for w1 in (0.2, 0.5, 0.8, 1.0):
             out = fuse((f1, f2, f3), (w1, (1 - w1) / 2, (1 - w1) / 2))
-            values.append(out.pixels[20, 20])
+            values.append(out[20, 20])
         assert np.all(np.diff(values) >= -1e-12)
 
     def test_dimension_mismatch_rejected(self):
@@ -348,5 +364,5 @@ class TestFuse:
 
     def test_result_type(self):
         out = fuse(self._layers(), (0.5, 0.3, 0.2))
-        assert isinstance(out, FusedImage)
-        assert out.pixels.shape == (40, 40)
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (40, 40)

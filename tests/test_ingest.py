@@ -82,6 +82,14 @@ class TestRecordValidation:
         assert rec.sample_count == 30
         assert rec.channel_count == 4
 
+    def test_config_sizes_within_mfl1_bound(self):
+        # sizes are checked when the config is built, before anything is allocated
+        for name in ("half_span_la", "image_height", "segment_length"):
+            assert getattr(PreprocessConfig(**{name: 2**32 - 1}), name) == 2**32 - 1
+            for bad in (0, 2**32, 10**30):
+                with pytest.raises(ConfigInvalid, match=name):
+                    PreprocessConfig(**{name: bad})
+
 
 class TestDetrend:
     def test_constant_channel_goes_to_zero(self):

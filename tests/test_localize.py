@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy.ndimage import label
 
-from mflscan.enhance import FusedImage
+from mflscan.enhance import peak_normalize
 from mflscan.errors import ConfigInvalid
 from mflscan.localize import (
     EIGHT_CONNECTED,
-    _wrap_merge,
     adaptive_threshold,
     binarize,
     extract_components,
@@ -18,8 +17,9 @@ from mflscan.pipeline import RunConfig
 STEP = RunConfig().threshold_step
 
 
-def fused(pixels):
-    return FusedImage(pixels=np.asarray(pixels, dtype=float))
+def normalized(pixels):
+    """The peak-normalized image that the threshold scan and binarize take."""
+    return peak_normalize(np.asarray(pixels, dtype=float))
 
 
 def naive_region_counts(norm, thresholds):
@@ -28,25 +28,35 @@ def naive_region_counts(norm, thresholds):
 
 
 def naive_extract_components(binary, intensity, min_area_px):
-    """Reference for `extract_components`: one full-image mask per label.
+    """Reference for `extract_components`: a pure-Python flood fill.
 
-    Returns (box, score) pairs in the order extract_components emits them.
+    Pixels are 8-connected; rows wrap around (the radial axis is a ring),
+    columns do not. Returns the (box, score) pairs in sorted order.
     """
-    labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
-    if n_regions > 1:
-        labeled = _wrap_merge(labeled, n_regions)
+    h, w = binary.shape
+    seen = np.zeros((h, w), dtype=bool)
     found = []
-    for idx in np.unique(labeled):
-        if idx == 0:
-            continue
-        mask = labeled == idx
-        if mask.sum() < min_area_px:
-            continue
-        rows, cols = np.nonzero(mask)
-        box = (int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max()))
-        found.append((box, float(intensity[mask].mean())))
-    found.sort(key=lambda item: item[0][0])
-    return found
+    for r0 in range(h):
+        for c0 in range(w):
+            if not binary[r0, c0] or seen[r0, c0]:
+                continue
+            seen[r0, c0] = True
+            stack, pixels = [(r0, c0)], []
+            while stack:
+                r, c = stack.pop()
+                pixels.append((r, c))
+                for dr in (-1, 0, 1):
+                    for dc in (-1, 0, 1):
+                        rr, cc = (r + dr) % h, c + dc
+                        if 0 <= cc < w and binary[rr, cc] and not seen[rr, cc]:
+                            seen[rr, cc] = True
+                            stack.append((rr, cc))
+            if len(pixels) < min_area_px:
+                continue
+            rows, cols = zip(*pixels)
+            box = (min(cols), max(cols), min(rows), max(rows))
+            found.append((box, sum(intensity[p] for p in pixels) / len(pixels)))
+    return sorted(found)
 
 
 def components(binary, min_area_px=4, intensity=None, origin_sample=0, f_spatial=100.0):
@@ -72,12 +82,12 @@ class TestAdaptiveThreshold:
         img = np.zeros((20, 20))
         img[2:5, 2:5] = 1.0
         img[12:15, 12:15] = 1.0
-        scan = adaptive_threshold(fused(img), STEP)
+        scan = adaptive_threshold(normalized(img), STEP)
         assert set(scan.region_counts) == {2}
         assert scan.chosen_threshold == pytest.approx(0.5)
 
     def test_all_zero_image_sentinel(self):
-        scan = adaptive_threshold(fused(np.zeros((10, 10))), STEP)
+        scan = adaptive_threshold(normalized(np.zeros((10, 10))), STEP)
         assert scan.thresholds == ()
         assert scan.chosen_threshold == 1.0
 
@@ -86,7 +96,7 @@ class TestAdaptiveThreshold:
         img = rng.uniform(0, 0.22, size=(30, 30))
         img[24, 7] = 0.22  # pin speckle peak so the clean plateau starts at 0.25
         img[10:14, 10:14] = 1.0
-        scan = adaptive_threshold(fused(img), STEP)
+        scan = adaptive_threshold(normalized(img), STEP)
         assert scan.chosen_threshold == pytest.approx(0.6)
         idx = scan.thresholds.index(0.6)
         assert scan.region_counts[idx] == 1
@@ -98,7 +108,7 @@ class TestAdaptiveThreshold:
         img[2:5, 2:5] = 1.0
         img[12:15, 12:15] = 0.5
         img[17, 2] = 0.05
-        scan = adaptive_threshold(fused(img), STEP)
+        scan = adaptive_threshold(normalized(img), STEP)
         counts = np.array(scan.region_counts)
         assert counts[scan.thresholds.index(0.05)] == 3
         assert counts[scan.thresholds.index(0.3)] == 2
@@ -116,7 +126,7 @@ class TestAdaptiveThreshold:
         for step in (0.05, 0.1, 1 / 3, 0.3, 0.9):
             for _ in range(20):
                 img = rng.uniform(0, 1, size=(12, 12)) ** 4
-                scan = adaptive_threshold(fused(img), step)
+                scan = adaptive_threshold(normalized(img), step)
                 assert scan.thresholds and min(scan.region_counts) >= 1
                 assert 0 < scan.chosen_threshold <= 1
 
@@ -128,14 +138,14 @@ class TestAdaptiveThreshold:
                 img = random_blobs(rng, shape, levels=int(rng.integers(2, 21)))
                 if not img.any():
                     continue
-                scan = adaptive_threshold(fused(img), step)
+                scan = adaptive_threshold(normalized(img), step)
                 norm = img / img.max()
                 assert scan.region_counts == naive_region_counts(norm, scan.thresholds)
 
     def test_thresholds_strictly_increasing(self):
         img = np.zeros((10, 10))
         img[4, 4] = 1.0
-        scan = adaptive_threshold(fused(img), STEP)
+        scan = adaptive_threshold(normalized(img), STEP)
         assert np.all(np.diff(scan.thresholds) > 0)
         assert len(scan.thresholds) == len(scan.region_counts)
 
@@ -143,26 +153,26 @@ class TestAdaptiveThreshold:
 class TestBinarize:
     def test_boundary_one_keeps_only_max(self):
         img = np.array([[0.2, 1.0], [0.5, 0.3]])
-        out = binarize(fused(img), 1.0)
+        out = binarize(normalized(img), 1.0)
         assert out.sum() == 1
         assert out[0, 1] == 1
 
     def test_near_zero_keeps_every_nonzero(self):
         img = np.array([[0.0, 0.1], [0.5, 0.0]])
-        out = binarize(fused(img), 1e-9)
+        out = binarize(normalized(img), 1e-9)
         assert out.sum() == 2
 
     def test_center_pixel_fixture(self):
         img = np.full((3, 3), 0.1)
         img[1, 1] = 0.8
-        out = binarize(fused(img), 0.5)
+        out = binarize(normalized(img), 0.5)
         assert out.sum() == 1
         assert out[1, 1] == 1
 
     def test_pixel_count_monotone_in_threshold(self):
         rng = np.random.default_rng(1)
         img = rng.uniform(0, 1, size=(25, 25))
-        counts = [int(binarize(fused(img), t).sum()) for t in np.arange(0.05, 1.0, 0.05)]
+        counts = [int(binarize(normalized(img), t).sum()) for t in np.arange(0.05, 1.0, 0.05)]
         assert np.all(np.diff(counts) <= 0)
 
     def test_rejects_out_of_range_threshold(self):
@@ -173,8 +183,8 @@ class TestBinarize:
                 RunConfig(threshold_step=step)
         rng = np.random.default_rng(13)
         for step in (0.001, 0.05, 0.3, 0.999):
-            chosen = adaptive_threshold(fused(rng.uniform(size=(9, 9))), step).chosen_threshold
-            assert 0 < chosen <= 1
+            scan = adaptive_threshold(normalized(rng.uniform(size=(9, 9))), step)
+            assert 0 < scan.chosen_threshold <= 1
 
 
 class TestExtractComponents:
@@ -245,8 +255,9 @@ class TestExtractComponents:
         dets = components(binary)
         assert [d.box[0] for d in dets] == [5, 30]
 
-    def test_matches_mask_loop_oracle(self):
+    def test_matches_flood_fill_oracle(self):
         rng = np.random.default_rng(22)
+        seam_merges = 0
         for _ in range(200):
             shape = tuple(rng.integers(1, 41, size=2))
             img = random_blobs(rng, shape, levels=int(rng.integers(2, 21)))
@@ -256,10 +267,15 @@ class TestExtractComponents:
             min_area = int(rng.integers(1, 6))
             dets = components(binary, min_area, intensity=img)
             expected = naive_extract_components(binary, img, min_area)
-            assert [d.box for d in dets] == [box for box, _ in expected]
+            got = sorted((d.box, d.score) for d in dets)
+            assert [box for box, _ in got] == [box for box, _ in expected]
             np.testing.assert_allclose(
-                [d.score for d in dets], [score for _, score in expected], rtol=0, atol=1e-12
+                [score for _, score in got], [score for _, score in expected], rtol=0, atol=1e-12
             )
+            assert [d.box[0] for d in dets] == sorted(d.box[0] for d in dets)
+            unwrapped = label(binary, structure=EIGHT_CONNECTED)[1]
+            seam_merges += len(naive_extract_components(binary, img, 1)) < unwrapped
+        assert seam_merges >= 10  # the data exercises the radial seam
 
     def test_seam_merge_leaves_label_gaps(self):
         # three blobs; the top and bottom ones merge, so one label has no box

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
-from mflscan.ingest import MflImage
 from mflscan.pipeline import RunConfig, method_plan
 from mflscan.pyramid import build_pyramid, build_template, match
 from mflscan.ssr import AdaptiveConfig, build_context
@@ -36,48 +35,48 @@ def naive_match(layer, kernel):
     return out
 
 
-def make_image(pixels):
-    return MflImage(pixels=np.asarray(pixels, dtype=float), segment_index=1,
-                    origin_sample=0)
+def square(template):
+    """The K x K flaw template whose every row is the axial step row `template`."""
+    return np.tile(template, (template.size, 1))
 
 
 class TestBuildPyramid:
     def test_standard_dimensions(self):
-        pyr = build_pyramid(make_image(np.zeros((200, 200))))
-        assert pyr.layers[0].shape == (200, 200)
-        assert pyr.layers[1].shape == (100, 100)
-        assert pyr.layers[2].shape == (50, 50)
+        pyr = build_pyramid(np.zeros((200, 200)))
+        assert pyr[0].shape == (200, 200)
+        assert pyr[1].shape == (100, 100)
+        assert pyr[2].shape == (50, 50)
 
     def test_constant_image_stays_constant(self):
-        pyr = build_pyramid(make_image(np.full((40, 40), 0.6)))
-        for layer in pyr.layers:
+        pyr = build_pyramid(np.full((40, 40), 0.6))
+        for layer in pyr:
             assert np.allclose(layer, 0.6)
 
     def test_checkerboard_averages_to_zero(self):
         board = np.indices((4, 4)).sum(axis=0) % 2 * 2.0 - 1.0
-        pyr = build_pyramid(make_image(board))
-        assert np.allclose(pyr.layers[1], 0.0)
+        pyr = build_pyramid(board)
+        assert np.allclose(pyr[1], 0.0)
 
     def test_layer_one_is_input(self):
         rng = np.random.default_rng(0)
         pixels = rng.normal(size=(16, 16))
-        pyr = build_pyramid(make_image(pixels))
-        assert np.array_equal(pyr.layers[0], pixels)
+        pyr = build_pyramid(pixels)
+        assert np.array_equal(pyr[0], pixels)
 
     def test_pooled_pixel_within_source_block(self):
         rng = np.random.default_rng(1)
         pixels = rng.normal(size=(20, 20))
-        pyr = build_pyramid(make_image(pixels))
-        l2 = pyr.layers[1]
+        pyr = build_pyramid(pixels)
+        l2 = pyr[1]
         for r in range(10):
             for c in range(10):
                 block = pixels[2 * r : 2 * r + 2, 2 * c : 2 * c + 2]
                 assert block.min() - 1e-12 <= l2[r, c] <= block.max() + 1e-12
 
     def test_odd_trailing_dropped(self):
-        pyr = build_pyramid(make_image(np.zeros((9, 7))))
-        assert pyr.layers[1].shape == (4, 3)
-        assert pyr.layers[2].shape == (2, 1)
+        pyr = build_pyramid(np.zeros((9, 7)))
+        assert pyr[1].shape == (4, 3)
+        assert pyr[2].shape == (2, 1)
 
     def test_too_small_rejected(self):
         # the segment shape is checked once, in the run's plan
@@ -87,18 +86,15 @@ class TestBuildPyramid:
 
 class TestBuildTemplate:
     def test_smallest_pair(self):
-        tmpl = build_template(2)
-        assert np.array_equal(tmpl.kernel, [[-1, 1], [-1, 1]])
+        assert np.array_equal(square(build_template(2)), [[-1, 1], [-1, 1]])
 
     def test_odd_size_zero_center_column(self):
-        tmpl = build_template(5)
-        expected_col = np.array([-1.0, -1.0, 0.0, 1.0, 1.0])
-        for r in range(5):
-            assert np.array_equal(tmpl.kernel[r], expected_col)
+        assert np.array_equal(build_template(5), [-1.0, -1.0, 0.0, 1.0, 1.0])
 
     def test_zero_dc_for_all_sizes(self):
         for k in range(2, 12):
-            assert build_template(k).kernel.sum() == 0.0
+            assert build_template(k).size == k
+            assert build_template(k).sum() == 0.0
 
     def test_rejects_size_one(self):
         # every kernel is at least kernel_base, which AdaptiveConfig keeps >= 2
@@ -126,7 +122,7 @@ class TestMatch:
             tmpl = build_template(k)
             for shape in ((k, k), (k + 7, k), (k, k + 9)):
                 layer = rng.normal(size=shape)
-                assert np.allclose(match(layer, tmpl), naive_match(layer, tmpl.kernel),
+                assert np.allclose(match(layer, tmpl), naive_match(layer, square(tmpl)),
                                    atol=1e-12)
 
     def test_same_size_output(self):

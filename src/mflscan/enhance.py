@@ -76,26 +76,29 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     the mask in order, so no sort is needed; the column-0 knot takes the value
     of the row's first maximum, the column-(W - 1) knot that of its last.
     Knot gaps are exact integers, so this equals a per-row np.interp bit for
-    bit.
+    bit. When every row holds a maximum, the usual case on a segment's
+    layers, the mask and the image are read as they are, with no row gathered.
     """
     enhanced = np.asarray(enhanced, dtype=float)
-    out = enhanced.copy()
-    w = enhanced.shape[1]
+    h, w = enhanced.shape
     mask = _maxima_mask(enhanced)
     rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
-        return out
-    knots = mask[rows]
+        return enhanced.copy()
+    knots, values = (mask, enhanced) if rows.size == h else (mask[rows], enhanced[rows])
     knots[:, 0] = knots[:, -1] = True
     xp = np.flatnonzero(knots)
-    values = enhanced[rows]
     fp = values.ravel()[xp]
     first = np.searchsorted(xp, np.arange(rows.size) * w)
     last = np.append(first[1:], xp.size) - 1
     fp[first] = fp[first + 1]
     fp[last] = fp[last - 1]
     interp = np.interp(np.arange(rows.size * w, dtype=float), xp, fp).reshape(rows.size, w)
-    out[rows] = np.maximum(interp, values, out=interp)
+    np.maximum(interp, values, out=interp)
+    if rows.size == h:
+        return interp
+    out = enhanced.copy()
+    out[rows] = interp
     return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -110,6 +111,7 @@ def normalize(y: np.ndarray) -> np.ndarray:
     return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
+@lru_cache(maxsize=8)
 def interpolate_radial(channels: int, height: int) -> np.ndarray:
     """The channels x `height` matrix that resamples an axial row to `height` radial positions.
 
@@ -117,13 +119,17 @@ def interpolate_radial(channels: int, height: int) -> np.ndarray:
     last channel neighbors the first), and a periodic cubic spline
     interpolates each row. The spline is linear in the data, so it is
     evaluated once on the N x N identity: `row @ basis` is the row's spline.
+    The basis is built once per (channels, height), for the last 8 such
+    pairs, and shared by every caller, so it is returned read-only.
     """
     if height < channels:
         raise ConfigInvalid(f"image height {height} is below the channel count {channels}")
     knots = np.arange(channels + 1, dtype=float)
     wrapped = np.eye(channels)[:, np.arange(channels + 1) % channels]  # periodic identity
     spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
-    return spline(np.arange(height) * (channels / height))
+    basis = spline(np.arange(height) * (channels / height))
+    basis.setflags(write=False)
+    return basis
 
 
 class Segments(Sequence):

@@ -51,14 +51,15 @@ def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     count = int(math.ceil(1.0 / step)) - 1
     thresholds = [round((i + 1) * step, 12) for i in range(count)]
-    row_peak, col_peak = norm.max(axis=1), norm.max(axis=0)
+    # every pixel >= t lies in the window from the first to the last row and
+    # column whose peak reaches t, so labeling the window alone counts the
+    # same regions as labeling the whole image
+    levels = np.array(thresholds)[:, None]
+    r0, r1 = _hit_span(norm.max(axis=1) >= levels)
+    c0, c1 = _hit_span(norm.max(axis=0) >= levels)
     counts = []
-    for t in thresholds:
-        # every pixel >= t lies in this window, so labeling it alone counts
-        # the same regions as labeling the whole image
-        rows, cols = np.flatnonzero(row_peak >= t), np.flatnonzero(col_peak >= t)
-        window = norm[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-        _, n_regions = label(window >= t, structure=EIGHT_CONNECTED)
+    for t, top, bottom, left, right in zip(thresholds, r0, r1, c0, c1):
+        _, n_regions = label(norm[top:bottom, left:right] >= t, structure=EIGHT_CONNECTED)
         counts.append(n_regions)
 
     best, start = (0, 0, 0), 0  # (length, first, last) of the longest plateau
@@ -74,13 +75,27 @@ def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
     )
 
 
+def _hit_span(hits: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per row of a boolean matrix, the first hit and one past the last; every row has a hit."""
+    first = hits.argmax(axis=1)
+    end = hits.shape[1] - hits[:, ::-1].argmax(axis=1)
+    return first.tolist(), end.tolist()
+
+
 def binarize(norm: np.ndarray, threshold: float) -> np.ndarray:
     """White (1) wherever the peak-normalized fused value reaches the threshold."""
     return (norm >= threshold).astype(np.uint8)
 
 
 def _wrap_merge(labeled: np.ndarray, n_regions: int) -> np.ndarray:
-    """Union labels that touch across the top/bottom seam (circular radial axis)."""
+    """Union labels that touch across the top/bottom seam (circular radial axis).
+
+    A top-row pixel at column c touches the bottom-row pixels at c - 1, c and
+    c + 1. The (top, bottom) label pairs are taken in that order, column by
+    column, and only the first occurrence of each pair is united: a repeated
+    pair is already one set, so the roots, and with them the label ids, are
+    those of uniting every touching pair in turn.
+    """
     parent = list(range(n_regions + 1))
 
     def find(a):
@@ -89,17 +104,14 @@ def _wrap_merge(labeled: np.ndarray, n_regions: int) -> np.ndarray:
             a = parent[a]
         return a
 
-    top, bottom = labeled[0], labeled[-1]
-    width = labeled.shape[1]
-    for c in range(width):
-        if not top[c]:
-            continue
-        for dc in (-1, 0, 1):
-            cc = c + dc
-            if 0 <= cc < width and bottom[cc]:
-                ra, rb = find(top[c]), find(bottom[cc])
-                if ra != rb:
-                    parent[rb] = ra
+    top = np.repeat(labeled[0], 3)
+    bottom = np.concatenate(([0], labeled[-1], [0]))  # background beyond either end
+    below = np.stack((bottom[:-2], bottom[1:-1], bottom[2:]), axis=1).ravel()
+    touch = (top != 0) & (below != 0)
+    for a, b in dict.fromkeys(zip(top[touch].tolist(), below[touch].tolist())):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
     lut = np.array([find(i) for i in range(n_regions + 1)])
     return lut[labeled]
 

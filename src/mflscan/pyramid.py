@@ -8,15 +8,27 @@ encodes exactly that: -1 columns on the left, +1 columns on the right.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 
 def _pool2(img: np.ndarray) -> np.ndarray:
-    """2x2 non-overlapping average pooling; odd trailing row/column dropped."""
+    """2x2 non-overlapping average pooling; odd trailing row/column dropped.
+
+    Each output pixel is ((a + b) + (c + d)) / 4, where a, b are the top
+    pair of its block and c, d the bottom pair; with a single block per row
+    (width 2 or 3) it is (((a + b) + c) + d) / 4. Those are the orders of
+    adds of `reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))`, so the two
+    agree bit for bit.
+    """
     h, w = img.shape
-    h2, w2 = h // 2, w // 2
-    trimmed = img[: 2 * h2, : 2 * w2]
-    return trimmed.reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+    top, bottom = img[0 : h - 1 : 2], img[1:h:2]
+    out = top[:, 0 : w - 1 : 2] + top[:, 1:w:2]
+    if w < 4:
+        out += bottom[:, :1]
+        out += bottom[:, 1:2]
+    else:
+        out += bottom[:, 0 : w - 1 : 2] + bottom[:, 1:w:2]
+    out /= 4
+    return out
 
 
 def build_pyramid(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -51,11 +63,63 @@ def match(layer: np.ndarray, template: np.ndarray) -> np.ndarray:
     radial box of K ones times that row, so the correlation runs as two 1-D
     passes: a K-wide box sum down each column (wrapping) and then the step
     row along each row (clamped). The template is anchored at row and column
-    (K - 1) // 2; for even K that is one less than ndimage's default K // 2,
-    hence origin -1.
+    (K - 1) // 2.
+
+    Each pass pads its axis once and adds K shifted slices of the flattened
+    pad in place (`_correlate`), in the order of adds of
+    scipy.ndimage.correlate1d, so the response equals that of the two
+    correlate1d passes bit for bit. The axial pass runs over the whole
+    flattened pad at once; its K - 1 sums per row that straddle two rows
+    land in the pad columns and are dropped.
     """
     layer = np.asarray(layer, dtype=float)
+    h, w = layer.shape
     k = template.size
-    origin = -1 if k % 2 == 0 else 0
-    radial = correlate1d(layer, np.ones(k), axis=0, mode="wrap", origin=origin)
-    return np.abs(correlate1d(radial, template, axis=1, mode="nearest", origin=origin))
+    before = (k - 1) // 2
+    rows = (np.arange(h + k - 1) - before) % h
+    cols = np.minimum(np.maximum(np.arange(w + k - 1) - before, 0), w - 1)
+    padded = layer.take(rows, axis=0)
+    radial = np.empty((h, w))
+    _correlate(padded.ravel(), np.ones(k), w, radial.ravel())
+    del padded  # free each pad before the next buffer is made
+    padded = radial.take(cols, axis=1)
+    del radial
+    sums = np.empty((h, w + k - 1))
+    _correlate(padded.ravel(), template, 1, sums.ravel())
+    del padded
+    return np.abs(sums[:, :w])
+
+
+def _correlate(flat: np.ndarray, weights: np.ndarray, step: int, out: np.ndarray) -> None:
+    """Write sum over taps t of weights[t] * flat[t * step :][:n] to out[:n].
+
+    n is flat.size - (K - 1) * step. Every weight is -1, 0 or +1, so every
+    product is exact and only the order of the adds matters. It is
+    correlate1d's: for even K, the last tap first, then taps 0 .. K - 2; for
+    odd K, the centre tap, then the mirrored pairs (tap j, tap K - 1 - j)
+    from the outside in, each pair summed (symmetric weights) or differenced
+    (antisymmetric weights) before it is added. A zero weight would add a
+    signed zero only, so it is skipped.
+    """
+    weights = weights.tolist()
+    k = len(weights)
+    n = flat.size - (k - 1) * step
+    out = out[:n]
+
+    def tap(t):
+        return flat[t * step : t * step + n]
+
+    if k % 2 == 0:
+        np.multiply(tap(k - 1), weights[k - 1], out=out)
+        terms = ((weights[t], tap(t)) for t in range(k - 1))
+    else:
+        centre = k // 2
+        np.multiply(tap(centre), weights[centre], out=out)
+        pair = np.add if weights[0] == weights[-1] else np.subtract
+        scratch = np.empty(n)
+        terms = ((weights[j], pair(tap(j), tap(k - 1 - j), out=scratch)) for j in range(centre))
+    for weight, term in terms:
+        if weight > 0:
+            out += term
+        elif weight < 0:
+            out -= term

@@ -216,6 +216,26 @@ class TestInterpolateRadial:
         with pytest.raises(ConfigInvalid, match="channel count 16"):
             interpolate_radial(16, 15)
 
+    def test_basis_built_once_and_read_only(self):
+        basis = interpolate_radial(16, 200)
+        assert interpolate_radial(16, 200) is basis
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 1.0
+        assert np.array_equal(basis, interpolate_radial.__wrapped__(16, 200))
+
+    def test_shared_basis_leaves_segment_pixels_unchanged(self):
+        record, _ = make_eval_dataset(scenario_presets()["high_ssr"], 1, 3)[0]
+        cfg = PreprocessConfig()
+        norm = normalize(detrend(record, cfg))
+        fresh = interpolate_radial.__wrapped__(record.channel_count, cfg.image_height)
+        want = Segments(norm, fresh, cfg.segment_length)
+        for _ in range(2):  # the second pass reads the basis the first one used
+            got = preprocess(record, cfg)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.pixels, b.pixels)
+
 
 class TestSegment:
     """`Segments` over the identity basis is the transposed record, cut in P."""

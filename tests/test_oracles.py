@@ -1,0 +1,175 @@
+"""Bitwise oracles: each fast kernel against the formulation it replaced.
+
+The kernels in `pyramid`, `enhance` and `localize` are rewritten for speed
+with the same order of floating-point operations as the code they replaced,
+so their outputs must be equal bit for bit, not merely close. The replaced
+formulations live on here only, as oracles. Equality of the `correlate1d`
+and `mean` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
+"""
+
+import numpy as np
+import pytest
+from scipy.ndimage import correlate1d, label
+
+from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
+from mflscan.ingest import preprocess
+from mflscan.localize import EIGHT_CONNECTED, _wrap_merge
+from mflscan.pyramid import _pool2, build_pyramid, build_template, match
+from mflscan.synth import generate, scenario_presets
+
+
+def reshape_mean_pool2(img):
+    """The replaced `_pool2`: 2x2 blocks by reshape, averaged with `mean`."""
+    h, w = img.shape
+    h2, w2 = h // 2, w // 2
+    return img[: 2 * h2, : 2 * w2].reshape(h2, 2, w2, 2).mean(axis=(1, 3))
+
+
+def correlate1d_match(layer, template):
+    """The replaced `match`: two `correlate1d` passes, radial box then axial step."""
+    k = template.size
+    origin = -1 if k % 2 == 0 else 0
+    radial = correlate1d(layer, np.ones(k), axis=0, mode="wrap", origin=origin)
+    return np.abs(correlate1d(radial, template, axis=1, mode="nearest", origin=origin))
+
+
+def gathered_envelope(enhanced):
+    """The replaced `envelope`: the rows holding a maximum are gathered,
+    interpolated and scattered back into a copy."""
+    out = enhanced.copy()
+    w = enhanced.shape[1]
+    mask = _maxima_mask(enhanced)
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return out
+    knots = mask[rows]
+    knots[:, 0] = knots[:, -1] = True
+    xp = np.flatnonzero(knots)
+    values = enhanced[rows]
+    fp = values.ravel()[xp]
+    first = np.searchsorted(xp, np.arange(rows.size) * w)
+    last = np.append(first[1:], xp.size) - 1
+    fp[first] = fp[first + 1]
+    fp[last] = fp[last - 1]
+    interp = np.interp(np.arange(rows.size * w, dtype=float), xp, fp).reshape(rows.size, w)
+    out[rows] = np.maximum(interp, values, out=interp)
+    return out
+
+
+def loop_wrap_merge(labeled, n_regions):
+    """The replaced `_wrap_merge`: a Python loop over the columns, uniting
+    every touching (top, bottom) pair, dc innermost."""
+    parent = list(range(n_regions + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    top, bottom = labeled[0], labeled[-1]
+    width = labeled.shape[1]
+    for c in range(width):
+        if not top[c]:
+            continue
+        for dc in (-1, 0, 1):
+            cc = c + dc
+            if 0 <= cc < width and bottom[cc]:
+                ra, rb = find(top[c]), find(bottom[cc])
+                if ra != rb:
+                    parent[rb] = ra
+    lut = np.array([find(i) for i in range(n_regions + 1)])
+    return lut[labeled]
+
+
+def mixed_magnitudes(rng, shape):
+    """Values in [-1, 1] over several orders of magnitude, so that sums round."""
+    return rng.uniform(-1, 1, size=shape) ** 3
+
+
+@pytest.fixture(scope="module")
+def segment():
+    """The first 200 x 200 image of the optimal-SSR preset record."""
+    record, _ = generate(scenario_presets()["optimal_ssr"])
+    return preprocess(record)[0].pixels
+
+
+class TestPool2:
+    # widths 2 and 3 hold one block per row, which `mean` adds in another order
+    @pytest.mark.parametrize("shape", [(200, 200), (100, 100), (50, 50), (201, 199),
+                                       (11, 17), (7, 4), (2, 3), (3, 2), (200, 3), (6, 2),
+                                       (1, 5), (1, 1)])
+    def test_equals_reshape_mean(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for img in (mixed_magnitudes(rng, shape), rng.normal(size=shape) * 1e6):
+            assert np.array_equal(_pool2(img), reshape_mean_pool2(img))
+
+    def test_equals_reshape_mean_on_segment_pyramid(self, segment):
+        layer1, layer2, layer3 = build_pyramid(segment)
+        assert np.array_equal(layer2, reshape_mean_pool2(layer1))
+        assert np.array_equal(layer3, reshape_mean_pool2(layer2))
+
+
+class TestMatch:
+    # the three pyramid layers of a 200 x 200 segment, an odd small layer,
+    # and a layer shorter and narrower than most kernels
+    @pytest.mark.parametrize("shape", [(200, 200), (100, 100), (50, 50), (11, 17), (4, 6)])
+    def test_equals_two_correlate1d_passes(self, shape):
+        rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+        layer = mixed_magnitudes(rng, shape)
+        for k in range(2, 16):
+            template = build_template(k)
+            assert np.array_equal(match(layer, template), correlate1d_match(layer, template)), k
+
+    def test_equals_two_correlate1d_passes_on_segment_pyramid(self, segment):
+        for layer in build_pyramid(segment):
+            for k in (6, 7, 9, 10):
+                template = build_template(k)
+                assert np.array_equal(match(layer, template), correlate1d_match(layer, template))
+
+
+class TestEnvelope:
+    def test_every_row_holding_a_maximum(self, segment):
+        enhanced = gamma_enhance(match(segment, build_template(9)), 2.0)
+        assert _maxima_mask(enhanced).any(axis=1).all()
+        assert np.array_equal(envelope(enhanced), gathered_envelope(enhanced))
+
+    def test_some_rows_holding_a_maximum(self):
+        rng = np.random.default_rng(3)
+        enhanced = rng.uniform(0, 1, size=(40, 30))
+        enhanced[::3] = np.linspace(0, 1, 30)  # monotone rows: no maximum
+        has_max = _maxima_mask(enhanced).any(axis=1)
+        assert has_max.any() and not has_max.all()
+        assert np.array_equal(envelope(enhanced), gathered_envelope(enhanced))
+
+    def test_no_row_holding_a_maximum(self):
+        enhanced = np.tile(np.linspace(1, 0, 30), (40, 1))
+        assert not _maxima_mask(enhanced).any()
+        out = envelope(enhanced)
+        assert np.array_equal(out, gathered_envelope(enhanced))
+        assert out is not enhanced
+
+
+class TestWrapMerge:
+    def test_equals_loop_on_labelled_images(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            shape = (int(rng.integers(2, 30)), int(rng.integers(1, 220)))
+            binary = rng.random(shape) < rng.uniform(0.2, 0.7)
+            labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
+            assert np.array_equal(_wrap_merge(labeled, n_regions),
+                                  loop_wrap_merge(labeled, n_regions))
+
+    def test_equals_loop_on_hundreds_of_labels_with_chained_merges(self):
+        rng = np.random.default_rng(6)
+        chained = 0
+        for _ in range(200):
+            width, n_regions = int(rng.integers(1, 300)), int(rng.integers(1, 600))
+            labeled = rng.integers(0, n_regions + 1, size=(int(rng.integers(2, 5)), width))
+            labeled *= rng.random(width) < 0.8  # background gaps in every row
+            want = loop_wrap_merge(labeled, n_regions)
+            assert np.array_equal(_wrap_merge(labeled, n_regions), want)
+            # three or more labels in one set took a chain of unions
+            merged = np.unique(np.stack([labeled.ravel(), want.ravel()], axis=1), axis=0)
+            chained += np.bincount(merged[merged[:, 0] > 0, 1]).max(initial=0) >= 3
+        assert chained > 100

@@ -18,7 +18,7 @@ from . import formats
 from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig
-from .pipeline import FUSION_MODES, RunConfig, process_record
+from .pipeline import RunConfig, process_record
 from .ssr import AdaptiveConfig
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
@@ -123,14 +123,7 @@ def _run_record(args, values: dict):
 
 
 def cmd_detect(args) -> int:
-    values = load_config(args.config) if args.config else {}
-    if args.fusion_mode:
-        values["fusion_mode"] = args.fusion_mode
-    if args.method:
-        values["method"] = {"single": "single_scale",
-                            "unweighted": "unweighted_multiscale",
-                            "adaptive": "adaptive"}[args.method]
-    record, result = _run_record(args, values)
+    record, result = _run_record(args, load_config(args.config) if args.config else {})
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
     print(f"wrote {out} ({len(result.detections)} detections)")
@@ -138,14 +131,20 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.kernel_size < 1:
-        raise ConfigInvalid(f"--kernel-size {args.kernel_size} must be >= 1")
+    # a flag that the mode does not read is refused, not ignored
+    if args.ablation:
+        unread = {"--det": args.det, "--kernel-size": args.kernel_size}
+        reason = "cannot be used with --ablation"
+    else:
+        unread = {"--record": args.record, "--config": args.config}
+        reason = "needs --ablation"
+    for flag, value in unread.items():
+        if value is not None:
+            raise ConfigInvalid(f"{flag} {reason}")
     reports: dict[str, EvalReport] = {}
     if args.ablation:
         if not args.record or len(args.record) != len(args.truth):
-            print("--ablation needs --record and --truth lists of equal length",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigInvalid("--ablation needs --record and --truth lists of equal length")
         values = load_config(args.config) if args.config else {}
         if "method" in values:
             raise ConfigInvalid("method cannot be set with --ablation, which runs every method")
@@ -157,14 +156,18 @@ def cmd_evaluate(args) -> int:
         for method in METHODS:
             reports[method] = run_ablation(dataset, method, *sections)
     else:
+        kernel_size = args.kernel_size
+        if kernel_size is None:
+            kernel_size = AdaptiveConfig().kernel_base
+        elif kernel_size < 1:
+            raise ConfigInvalid(f"--kernel-size {kernel_size} must be >= 1")
         if not args.det or len(args.det) != len(args.truth):
-            print("need --det and --truth lists of equal length", file=sys.stderr)
-            return EXIT_USAGE
+            raise ConfigInvalid("need --det and --truth lists of equal length")
         report = EvalReport()  # a detections file scores as the default method
         for det_path, truth_path in zip(args.det, args.truth):
             f_spatial, detections = formats.read_detections(det_path)
             truths = formats.read_ground_truth(truth_path)
-            report.add(*match_detections(detections, truths, f_spatial, args.kernel_size))
+            report.add(*match_detections(detections, truths, f_spatial, kernel_size))
         reports[report.method_tag] = report
     table = format_report_table(reports)
     print(table)
@@ -220,18 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_det.add_argument("--config")
     p_det.add_argument("--out")
     p_det.add_argument("--dump-stages", metavar="DIR")
-    p_det.add_argument("--fusion-mode", choices=FUSION_MODES)
-    p_det.add_argument("--method", choices=("single", "unweighted", "adaptive"))
     p_det.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser("evaluate", help="score detections against ground truth")
-    p_eval.add_argument("--det", nargs="*", default=[])
+    p_eval.add_argument("--det", nargs="*", help="detections files (without --ablation)")
     p_eval.add_argument("--truth", nargs="*", default=[])
-    p_eval.add_argument("--record", nargs="*", default=[])
+    p_eval.add_argument("--record", nargs="*", help="records (with --ablation)")
     p_eval.add_argument("--ablation", action="store_true",
                         help="re-run the pipeline with all three methods")
-    p_eval.add_argument("--config")
-    p_eval.add_argument("--kernel-size", type=int, default=5)
+    p_eval.add_argument("--config", help="config file (with --ablation)")
+    p_eval.add_argument("--kernel-size", type=int,
+                        help=f"default {AdaptiveConfig().kernel_base} (without --ablation)")
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 

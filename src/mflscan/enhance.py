@@ -71,34 +71,30 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     both neighbouring maxima. Its fixed points are the rows with at most one
     interior maximum.
 
-    The rows that hold a maximum go through one np.interp over flat indices
-    i * W + c. Their knots are the maxima plus columns 0 and W - 1, read off
-    the mask in order, so no sort is needed; the column-0 knot takes the value
-    of the row's first maximum, the column-(W - 1) knot that of its last.
-    Knot gaps are exact integers, so this equals a per-row np.interp bit for
-    bit. When every row holds a maximum, the usual case on a segment's
-    layers, the mask and the image are read as they are, with no row gathered.
+    All rows go through one np.interp over flat indices i * W + c. Each row's
+    knots are its maxima plus columns 0 and W - 1, read off the mask in
+    order, so no sort is needed; the column-0 knot takes the value of the
+    row's first maximum, the column-(W - 1) knot that of its last. Every
+    output column lies between two knots of its own row, and knot gaps are
+    exact integers, so this equals a per-row np.interp bit for bit. The rows
+    without a maximum are then copied back from the input.
     """
     enhanced = np.asarray(enhanced, dtype=float)
     h, w = enhanced.shape
-    mask = _maxima_mask(enhanced)
-    rows = np.flatnonzero(mask.any(axis=1))
-    if rows.size == 0:
+    knots = _maxima_mask(enhanced)
+    bare_rows = np.flatnonzero(~knots.any(axis=1))
+    if bare_rows.size == h:
         return enhanced.copy()
-    knots, values = (mask, enhanced) if rows.size == h else (mask[rows], enhanced[rows])
     knots[:, 0] = knots[:, -1] = True
     xp = np.flatnonzero(knots)
-    fp = values.ravel()[xp]
-    first = np.searchsorted(xp, np.arange(rows.size) * w)
+    fp = enhanced.ravel()[xp]
+    first = np.searchsorted(xp, np.arange(h) * w)
     last = np.append(first[1:], xp.size) - 1
     fp[first] = fp[first + 1]
     fp[last] = fp[last - 1]
-    interp = np.interp(np.arange(rows.size * w, dtype=float), xp, fp).reshape(rows.size, w)
-    np.maximum(interp, values, out=interp)
-    if rows.size == h:
-        return interp
-    out = enhanced.copy()
-    out[rows] = interp
+    out = np.interp(np.arange(h * w, dtype=float), xp, fp).reshape(h, w)
+    np.maximum(out, enhanced, out=out)
+    out[bare_rows] = enhanced[bare_rows]
     return out
 
 

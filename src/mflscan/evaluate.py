@@ -48,7 +48,7 @@ def match_detections(
     detections: list[Detection],
     truths: list[GroundTruthFlaw],
     f_spatial: float,
-    kernel_size: int = 5,
+    kernel_size: int = AdaptiveConfig().kernel_base,
 ) -> tuple[int, int, int]:
     """Greedy one-to-one matching by axial interval overlap.
 

@@ -36,7 +36,7 @@ def write_record_binary(path: Path | str, record: MflRecord):
         fh.write(samples.tobytes())
 
 
-def read_record_binary(path: Path | str, label: str | None = None) -> MflRecord:
+def read_record_binary(path: Path | str) -> MflRecord:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 4 + 24 or raw[:4] != MAGIC:
@@ -47,7 +47,7 @@ def read_record_binary(path: Path | str, label: str | None = None) -> MflRecord:
         raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     samples = np.frombuffer(raw, dtype="<f8", offset=28).reshape(m, n)
     try:
-        return MflRecord(samples, fs, v, label=label or path.stem)
+        return MflRecord(samples, fs, v, label=path.stem)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -63,7 +63,7 @@ def write_record_csv(path: Path | str, record: MflRecord):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_record_csv(path: Path | str, label: str | None = None) -> MflRecord:
+def read_record_csv(path: Path | str) -> MflRecord:
     path = Path(path)
     with open(path, errors="replace") as fh:  # stray bytes then fail to parse
         header = fh.readline().strip()
@@ -98,7 +98,7 @@ def read_record_csv(path: Path | str, label: str | None = None) -> MflRecord:
     if not rows:
         raise FormatError(f"{path}: no sample rows")
     try:
-        return MflRecord(np.array(rows), fs, v, label=label or path.stem)
+        return MflRecord(np.array(rows), fs, v, label=path.stem)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -130,15 +130,15 @@ def process_segment(
     """Run one segment through matching, enhancement, fusion, and localization.
 
     Only the layers from L1 down to the coarsest one with a nonzero weight are
-    matched and enhanced. Returns the segment's detections and the threshold
-    the stability scan chose. Without `dump_dir` it is a pure function of its
+    pooled, matched and enhanced. Returns the segment's detections and the
+    threshold the stability scan chose. Without `dump_dir` it is a pure function of its
     inputs; with it, it also writes each stage's images there as PGM files.
     Segments may be processed in parallel. `method_plan` checks the settings
     against the image's shape.
     """
     kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, run)
     used = max(j for j, w in enumerate(weights, start=1) if w)
-    layers = build_pyramid(image.pixels)[:used]
+    layers = build_pyramid(image.pixels, used)
     template = build_template(kernel_size)
     enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
     fused = fuse(tuple(env for _, env in enhanced), weights)

@@ -31,11 +31,12 @@ def _pool2(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_pyramid(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Layer 1 is the image itself; layers 2 and 3 are repeated 2x2 poolings."""
-    layer1 = np.asarray(pixels, dtype=float)
-    layer2 = _pool2(layer1)
-    return layer1, layer2, _pool2(layer2)
+def build_pyramid(pixels: np.ndarray, depth: int = 3) -> tuple[np.ndarray, ...]:
+    """Layers 1 to `depth`: the image itself, then repeated 2x2 poolings."""
+    layers = [np.asarray(pixels, dtype=float)]
+    while len(layers) < depth:
+        layers.append(_pool2(layers[-1]))
+    return tuple(layers)
 
 
 def build_template(size: int) -> np.ndarray:

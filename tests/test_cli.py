@@ -11,6 +11,7 @@ from mflscan import formats
 from mflscan.cli import CONFIG_KEYS, EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
 from mflscan.ingest import MflRecord
+from mflscan.pipeline import RunConfig, process_record
 
 
 def sha256(path):
@@ -127,6 +128,23 @@ class TestDetect:
                 assert (dump / f"seg{seg}_L{layer}_raw.pgm").exists()
                 assert (dump / f"seg{seg}_L{layer}_resp.pgm").exists()
                 assert (dump / f"seg{seg}_L{layer}_env.pgm").exists()
+
+    def test_config_sets_the_method(self, optimal_record, tmp_path, capsys):
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text("method = single_scale\n")
+        out = tmp_path / "d.json"
+        assert main(["detect", str(optimal_record), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        record = formats.read_record(optimal_record)
+        single = process_record(record, run=RunConfig("single_scale")).detections
+        assert formats.read_detections(out)[1] == single
+        assert single != process_record(record).detections
+
+    @pytest.mark.parametrize("flag", [["--method", "single"], ["--fusion-mode", "flat"]])
+    def test_run_keys_are_not_flags(self, flag, optimal_record, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["detect", str(optimal_record), *flag])
+        assert exit_info.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("preset", sorted(DUMP_DIGESTS))
     def test_dump_stages_bytes_are_pinned(self, preset, tmp_path, capsys):
@@ -271,6 +289,39 @@ class TestEvaluate:
     def test_mismatched_pairing_is_usage_error(self, tmp_path, capsys):
         code = main(["evaluate", "--det", "a.json", "--truth"])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "equal length" in err
+
+    def test_mismatched_ablation_pairing_is_usage_error(self, tmp_path, capsys):
+        code = main(["evaluate", "--ablation", "--record", "a.mfl", "--truth"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "equal length" in err
+
+    @pytest.mark.parametrize("flag, mode", [
+        ("--config", "det"), ("--record", "det"),
+        ("--det", "ablation"), ("--kernel-size", "ablation"),
+    ])
+    def test_flag_the_mode_does_not_read_is_usage_error(self, flag, mode, optimal_record,
+                                                        tmp_path, capsys):
+        truth = str(optimal_record.parent / "rope_truth.json")
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 2\n")
+        values = {"--config": [str(cfg)], "--record": [str(optimal_record)],
+                  "--det": [str(det)], "--kernel-size": ["9"]}
+        source = (["--det", str(det)] if mode == "det"
+                  else ["--ablation", "--record", str(optimal_record)])
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        code = main(["evaluate", *source, "--truth", truth, flag, *values[flag],
+                     "--out", str(report)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+        assert out == ""
+        assert not report.exists()
 
     @pytest.mark.parametrize("size", ["0", "-1", "-1000"])
     def test_kernel_size_below_one_is_usage_error(self, size, optimal_record, tmp_path,

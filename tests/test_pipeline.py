@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from mflscan import pipeline
+from mflscan import pipeline, pyramid
 from mflscan.errors import ImageTooSmall, LayerSmallerThanKernel
 from mflscan.ingest import PreprocessConfig, preprocess
 from mflscan.pipeline import METHODS, RunConfig, method_plan, process_record, process_segment
@@ -98,6 +98,33 @@ class TestLayerSkipping:
             process_segment(image, context, cfg, RunConfig(method))
             assert len(calls) == expected, method
             assert calls[0] == image.pixels.shape
+
+    def test_pool_calls_per_segment(self, optimal, monkeypatch):
+        # only the layers down to the last weighted one are pooled
+        record, cfg, context = optimal
+        image = preprocess(record)[0]
+        calls = []
+        pool2 = pyramid._pool2
+
+        def counting_pool2(img):
+            calls.append(img.shape)
+            return pool2(img)
+
+        monkeypatch.setattr(pyramid, "_pool2", counting_pool2)
+        for method, expected in (
+            ("single_scale", 0), ("unweighted_multiscale", 2), ("adaptive", 2)
+        ):
+            calls.clear()
+            process_segment(image, context, cfg, RunConfig(method))
+            assert len(calls) == expected, method
+        # adaptive at mu = 1 (f_spatial 125 samples/m) weights L1 alone
+        preset = scenario_presets()["low_ssr"]
+        record, _ = generate(replace(preset, inspection_speed_mps=2.0, rope_length_m=801 / 125.0))
+        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+        assert context.mu == 1.0
+        calls.clear()
+        process_segment(preprocess(record)[0], context, cfg, RunConfig("adaptive"))
+        assert calls == []
 
     def test_oversized_kernel_refused_before_template(self, optimal, monkeypatch):
         record, _, _ = optimal

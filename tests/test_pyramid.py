@@ -73,6 +73,14 @@ class TestBuildPyramid:
                 block = pixels[2 * r : 2 * r + 2, 2 * c : 2 * c + 2]
                 assert block.min() - 1e-12 <= l2[r, c] <= block.max() + 1e-12
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_depth_gives_the_first_layers(self, depth):
+        pixels = np.random.default_rng(2).normal(size=(200, 200))
+        layers = build_pyramid(pixels, depth)
+        assert isinstance(layers, tuple) and len(layers) == depth
+        for layer, full in zip(layers, build_pyramid(pixels)):
+            assert np.array_equal(layer, full)
+
     def test_odd_trailing_dropped(self):
         pyr = build_pyramid(np.zeros((9, 7)))
         assert pyr[1].shape == (4, 3)

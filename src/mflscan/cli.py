@@ -163,12 +163,12 @@ def cmd_evaluate(args) -> int:
             raise ConfigInvalid(f"--kernel-size {kernel_size} must be >= 1")
         if not args.det or len(args.det) != len(args.truth):
             raise ConfigInvalid("need --det and --truth lists of equal length")
-        report = EvalReport()  # a detections file scores as the default method
+        # a detections file does not record the method that wrote it
+        report = reports["detections"] = EvalReport()
         for det_path, truth_path in zip(args.det, args.truth):
             f_spatial, detections = formats.read_detections(det_path)
             truths = formats.read_ground_truth(truth_path)
             report.add(*match_detections(detections, truths, f_spatial, kernel_size))
-        reports[report.method_tag] = report
     table = format_report_table(reports)
     print(table)
     if args.out:

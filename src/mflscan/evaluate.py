@@ -17,7 +17,7 @@ class EvalReport:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-    method_tag: str = RunConfig().method
+    method_tag: str | None = None  # None: the method is not known, as for a detections file
 
     @property
     def precision(self) -> float:

@@ -9,7 +9,7 @@ from itertools import groupby
 import numpy as np
 from scipy.ndimage import find_objects, label
 
-EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -132,19 +132,31 @@ def extract_components(
     becomes a Detection with a tight bounding box, the mean intensity over
     the component's pixels as score, and the box mapped to rope meters
     through origin_sample and f_spatial (samples per meter).
+
+    Only the bounding box (window) of the white pixels is labeled; raster
+    order within it is the whole image's, so labels, areas and score sums
+    are the same. The seam merge runs only when the window spans every row,
+    since only then are its first and last rows the image's.
     """
-    labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
-    if n_regions > 1:
+    rows = np.flatnonzero(binary.any(axis=1))
+    if rows.size == 0:
+        return []
+    cols = np.flatnonzero(binary.any(axis=0))
+    top, left = int(rows[0]), int(cols[0])  # Python ints keep the boxes JSON-writable
+    window = np.s_[top:rows[-1] + 1, left:cols[-1] + 1]
+    labeled, n_regions = label(binary[window], structure=EIGHT_CONNECTED)
+    if n_regions > 1 and labeled.shape[0] == binary.shape[0]:
         labeled = _wrap_merge(labeled, n_regions)
     areas = np.bincount(labeled.ravel(), minlength=n_regions + 1)
-    sums = np.bincount(labeled.ravel(), weights=intensity.ravel(), minlength=n_regions + 1)
+    sums = np.bincount(labeled.ravel(), weights=intensity[window].ravel(),
+                       minlength=n_regions + 1)
     detections = []
     # labels merged away across the seam have no box (None)
     for idx, box in enumerate(find_objects(labeled), start=1):
         if box is None or areas[idx] < min_area_px:
             continue
-        r0, r1 = box[0].start, box[0].stop - 1
-        a0, a1 = box[1].start, box[1].stop - 1
+        r0, r1 = top + box[0].start, top + box[0].stop - 1
+        a0, a1 = left + box[1].start, left + box[1].stop - 1
         score = float(sums[idx] / areas[idx])
         start_m = (origin_sample + a0) / f_spatial
         end_m = (origin_sample + a1 + 1) / f_spatial

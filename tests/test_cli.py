@@ -286,6 +286,25 @@ class TestEvaluate:
         assert "Precision" in table
         assert "100.00%" in table
 
+    def test_detections_column_does_not_name_a_method(self, optimal_record, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text("method = single_scale\n")
+        det, out = tmp_path / "single.json", tmp_path / "r.json"
+        assert main(["detect", str(optimal_record), "--config", str(cfg),
+                     "--out", str(det)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["evaluate", "--det", str(det),
+                     "--truth", str(optimal_record.parent / "rope_truth.json"),
+                     "--out", str(out)]) == EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split() == ["Metric", "detections"]
+        reports = json.loads(out.read_text())["reports"]
+        assert list(reports) == ["detections"]
+        report = reports["detections"]
+        assert report["method"] is None
+        assert report["tp"] + report["fn"] == 4 and 0.0 <= report["f1"] <= 1.0
+
     def test_mismatched_pairing_is_usage_error(self, tmp_path, capsys):
         code = main(["evaluate", "--det", "a.json", "--truth"])
         assert code == 2

@@ -9,11 +9,13 @@ and `mean` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
 
 import numpy as np
 import pytest
-from scipy.ndimage import correlate1d, label
+from scipy.ndimage import correlate1d, find_objects, label
 
+from mflscan import pipeline
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
 from mflscan.ingest import preprocess
-from mflscan.localize import EIGHT_CONNECTED, _wrap_merge
+from mflscan.localize import EIGHT_CONNECTED, Detection, _wrap_merge, extract_components
+from mflscan.pipeline import METHODS, RunConfig, process_record
 from mflscan.pyramid import _pool2, build_pyramid, build_template, match
 from mflscan.synth import generate, scenario_presets
 
@@ -80,6 +82,35 @@ def loop_wrap_merge(labeled, n_regions):
                     parent[rb] = ra
     lut = np.array([find(i) for i in range(n_regions + 1)])
     return lut[labeled]
+
+
+def full_image_extract_components(binary, intensity, min_area_px, *, segment_index,
+                                  origin_sample, f_spatial):
+    """The replaced `extract_components`: the whole image is labeled and the
+    seam merge runs whenever there are two labels or more."""
+    labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
+    if n_regions > 1:
+        labeled = _wrap_merge(labeled, n_regions)
+    areas = np.bincount(labeled.ravel(), minlength=n_regions + 1)
+    sums = np.bincount(labeled.ravel(), weights=intensity.ravel(), minlength=n_regions + 1)
+    detections = []
+    for idx, box in enumerate(find_objects(labeled), start=1):
+        if box is None or areas[idx] < min_area_px:
+            continue
+        r0, r1 = box[0].start, box[0].stop - 1
+        a0, a1 = box[1].start, box[1].stop - 1
+        start_m = (origin_sample + a0) / f_spatial
+        end_m = (origin_sample + a1 + 1) / f_spatial
+        detections.append(Detection(
+            box=(a0, a1, r0, r1),
+            axial_position_m=(start_m + end_m) / 2.0,
+            score=float(sums[idx] / areas[idx]),
+            segment_index=segment_index,
+            axial_start_m=start_m,
+            axial_end_m=end_m,
+        ))
+    detections.sort(key=lambda d: d.box[0])
+    return detections
 
 
 def mixed_magnitudes(rng, shape):
@@ -173,3 +204,95 @@ class TestWrapMerge:
             merged = np.unique(np.stack([labeled.ravel(), want.ravel()], axis=1), axis=0)
             chained += np.bincount(merged[merged[:, 0] > 0, 1]).max(initial=0) >= 3
         assert chained > 100
+
+
+def assert_components_equal(binary, intensity, min_area_px, **where):
+    """Windowed and full-image extraction agree on boxes, metres, scores and
+    order, and every box entry is a Python int and every metre a float."""
+    where = {"segment_index": 2, "origin_sample": 200, "f_spatial": 250.0, **where}
+    got = extract_components(binary, intensity, min_area_px, **where)
+    assert got == full_image_extract_components(binary, intensity, min_area_px, **where)
+    for det in got:
+        assert all(type(v) is int for v in det.box), det.box
+        metres = (det.axial_position_m, det.axial_start_m, det.axial_end_m, det.score)
+        assert all(type(v) is float for v in metres), metres
+    return got
+
+
+def seam_merges(binary):
+    """How many labels the seam merge of the whole image unites."""
+    labeled, n_regions = label(binary, structure=EIGHT_CONNECTED)
+    return n_regions + 1 - np.unique(_wrap_merge(labeled, n_regions)).size
+
+
+@pytest.fixture(scope="module")
+def fused_calls():
+    """The (binary, intensity, min_area_px, where) of every `extract_components`
+    call the pipeline makes on the three preset records under every method."""
+    calls = []
+
+    def spy(binary, intensity, min_area_px, **where):
+        calls.append((binary, intensity, min_area_px, where))
+        return extract_components(binary, intensity, min_area_px, **where)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "extract_components", spy)
+        for spec in scenario_presets().values():
+            record, _ = generate(spec)
+            for method in METHODS:
+                process_record(record, run=RunConfig(method))
+    return calls
+
+
+class TestExtractComponents:
+    def test_equals_full_image_on_fused_segments(self, fused_calls):
+        spans_all_rows = 0
+        for binary, intensity, min_area_px, where in fused_calls:
+            assert_components_equal(binary, intensity, min_area_px, **where)
+            rows = np.flatnonzero(binary.any(axis=1))
+            spans_all_rows += rows[0] == 0 and rows[-1] == binary.shape[0] - 1
+        # the seam rows bound some windows, and others lie inside the image
+        assert len(fused_calls) == 36 and 0 < spans_all_rows < 36
+
+    def test_equals_full_image_on_blobs_spanning_every_row(self):
+        rng = np.random.default_rng(7)
+        merged = 0
+        for _ in range(100):
+            shape = (int(rng.integers(3, 60)), int(rng.integers(3, 80)))
+            binary = (rng.random(shape) < rng.uniform(0.05, 0.4)).astype(np.uint8)
+            column = int(rng.integers(shape[1]))
+            binary[0, column] = binary[-1, column] = 1  # touch across the seam
+            merged += seam_merges(binary) > 0
+            for min_area_px in (1, 2, 4):
+                assert_components_equal(binary, mixed_magnitudes(rng, shape), min_area_px)
+        assert merged > 50
+
+    @pytest.mark.parametrize("edge", [0, -1])
+    def test_equals_full_image_on_window_touching_one_seam_row(self, edge):
+        # two blobs, one on the seam row and one at the window's far end,
+        # share columns; the window's first and last rows are not both seams
+        rng = np.random.default_rng(8)
+        binary = np.zeros((200, 200), dtype=np.uint8)
+        near, far = (slice(0, 3), slice(6, 9)) if edge == 0 else (slice(197, 200), slice(191, 194))
+        binary[near, 40:50] = 1
+        binary[far, 44:47] = 1
+        assert binary[edge].any() and not binary[-1 - edge].any()
+        got = assert_components_equal(binary, mixed_magnitudes(rng, binary.shape), 4)
+        assert len(got) == 2
+
+    def test_equals_full_image_far_from_column_zero(self):
+        rng = np.random.default_rng(9)
+        binary = np.zeros((200, 200), dtype=np.uint8)
+        binary[120:140, 150:181] = rng.random((20, 31)) < 0.5
+        got = assert_components_equal(binary, mixed_magnitudes(rng, binary.shape), 1)
+        assert min(det.box[0] for det in got) >= 150 and min(det.box[2] for det in got) >= 120
+
+    def test_equals_full_image_on_one_pixel(self):
+        binary = np.zeros((200, 200), dtype=np.uint8)
+        binary[77, 131] = 1
+        got = assert_components_equal(binary, np.full(binary.shape, 0.25), 1)
+        assert [det.box for det in got] == [(131, 131, 77, 77)]
+
+    def test_equals_full_image_on_empty_binary(self):
+        binary = np.zeros((200, 200), dtype=np.uint8)
+        assert assert_components_equal(binary, np.ones(binary.shape), 1) == []

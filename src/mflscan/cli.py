@@ -17,8 +17,8 @@ from pathlib import Path
 from . import formats
 from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
-from .ingest import PreprocessConfig
-from .pipeline import RunConfig, process_record
+from .ingest import PreprocessConfig, preprocess
+from .pipeline import RunConfig, process_record, segment_stages
 from .ssr import AdaptiveConfig
 from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 
@@ -112,18 +112,23 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_record(args, values: dict):
-    """Read `args.record` and run it through the pipeline with the config values."""
+def _run_record(args):
+    """The record, the config sections and the pipeline result of `args`."""
+    values = load_config(args.config) if args.config else {}
     record = formats.read_record(args.record)
-    dump_dir = Path(args.dump_stages) if args.dump_stages else None
-    if dump_dir:
-        dump_dir.mkdir(parents=True, exist_ok=True)
-    result = process_record(record, *_sections(values), dump_dir=dump_dir)
-    return record, result
+    sections = _sections(values)
+    return record, sections, process_record(record, *sections)
 
 
 def cmd_detect(args) -> int:
-    record, result = _run_record(args, load_config(args.config) if args.config else {})
+    record, (preprocess_cfg, adaptive_cfg, run), result = _run_record(args)
+    if args.dump_stages:  # only after a run that succeeded, so a refused run writes nothing
+        dump_dir = Path(args.dump_stages)
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        for image in preprocess(record, preprocess_cfg):
+            for name, stage in segment_stages(image, result.context, adaptive_cfg, run).items():
+                formats.write_pgm(dump_dir / f"seg{image.segment_index}_{name}.pgm", stage,
+                                  signed=name.endswith("_raw"))
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
     print(f"wrote {out} ({len(result.detections)} detections)")
@@ -190,7 +195,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _, result = _run_record(args, load_config(args.config) if args.config else {})
+    _, _, result = _run_record(args)
     context = result.context
     print(json.dumps({
         "schema_version": formats.SCHEMA_VERSION,
@@ -240,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect", help="report SSR-derived quantities for a record")
     p_ins.add_argument("record")
     p_ins.add_argument("--config")
-    p_ins.add_argument("--dump-stages", metavar="DIR")
     p_ins.set_defaults(func=cmd_inspect)
 
     return parser

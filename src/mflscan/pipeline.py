@@ -5,9 +5,7 @@ from __future__ import annotations
 import ctypes
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from . import formats
 from .enhance import enhance_layer, fuse, peak_normalize
 from .errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
@@ -119,31 +117,37 @@ class PipelineResult:
     chosen_thresholds: list[float] = field(default_factory=list)
 
 
+def segment_stages(
+    image: MflImage,
+    context: SsrContext,
+    adaptive_cfg: AdaptiveConfig,
+    run: RunConfig = RunConfig(),
+) -> dict:
+    """Each stage image of one segment, by name; a pure function of its inputs.
+
+    Each layer j from L1 down to the coarsest one with a nonzero weight gives
+    `L{j}_raw` (pooled), `L{j}_resp` (gamma-enhanced match) and `L{j}_env`;
+    `fused` blends the envelopes. `method_plan` checks the settings against the shape.
+    """
+    kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, run)
+    used = max(j for j, w in enumerate(weights, start=1) if w)
+    template = build_template(kernel_size)
+    stages = {}
+    for j, layer in enumerate(build_pyramid(image.pixels, used), start=1):
+        gamma_image, env = enhance_layer(match(layer, template), adaptive_cfg.gamma)
+        stages.update({f"L{j}_raw": layer, f"L{j}_resp": gamma_image, f"L{j}_env": env})
+    stages["fused"] = fuse(tuple(stages[f"L{j}_env"] for j in range(1, used + 1)), weights)
+    return stages
+
+
 def process_segment(
     image: MflImage,
     context: SsrContext,
     adaptive_cfg: AdaptiveConfig,
     run: RunConfig = RunConfig(),
-    *,
-    dump_dir: Path | None = None,
 ) -> tuple[list[Detection], float]:
-    """Run one segment through matching, enhancement, fusion, and localization.
-
-    Only the layers from L1 down to the coarsest one with a nonzero weight are
-    pooled, matched and enhanced. Returns the segment's detections and the
-    threshold the stability scan chose. Without `dump_dir` it is a pure function of its
-    inputs; with it, it also writes each stage's images there as PGM files.
-    Segments may be processed in parallel. `method_plan` checks the settings
-    against the image's shape.
-    """
-    kernel_size, weights = method_plan(context, adaptive_cfg, image.pixels.shape, run)
-    used = max(j for j, w in enumerate(weights, start=1) if w)
-    layers = build_pyramid(image.pixels, used)
-    template = build_template(kernel_size)
-    enhanced = [enhance_layer(match(layer, template), adaptive_cfg.gamma) for layer in layers]
-    fused = fuse(tuple(env for _, env in enhanced), weights)
-
-    norm = peak_normalize(fused)
+    """The detections and the chosen threshold of one segment; a pure function of its inputs."""
+    norm = peak_normalize(segment_stages(image, context, adaptive_cfg, run)["fused"])
     scan = adaptive_threshold(norm, run.threshold_step)
     detections = extract_components(
         binarize(norm, scan.chosen_threshold),
@@ -153,15 +157,6 @@ def process_segment(
         origin_sample=image.origin_sample,
         f_spatial=context.f_spatial,
     )
-
-    if dump_dir is not None:
-        i = image.segment_index
-        formats.write_pgm(dump_dir / f"seg{i}_fused.pgm", fused, signed=False)
-        for j, (layer, (gamma_image, env)) in enumerate(zip(layers, enhanced), start=1):
-            formats.write_pgm(dump_dir / f"seg{i}_L{j}_raw.pgm", layer, signed=True)
-            formats.write_pgm(dump_dir / f"seg{i}_L{j}_resp.pgm", gamma_image, signed=False)
-            formats.write_pgm(dump_dir / f"seg{i}_L{j}_env.pgm", env, signed=False)
-
     return detections, scan.chosen_threshold
 
 
@@ -170,8 +165,6 @@ def process_record(
     preprocess_cfg: PreprocessConfig = PreprocessConfig(),
     adaptive_cfg: AdaptiveConfig = AdaptiveConfig(),
     run: RunConfig = RunConfig(),
-    *,
-    dump_dir: Path | None = None,
 ) -> PipelineResult:
     """Detect flaws in one record; deterministic for identical inputs."""
     _keep_freed_heap()
@@ -181,8 +174,7 @@ def process_record(
     images = preprocess(record, preprocess_cfg)
     result = PipelineResult([], context, kernel_size, weights)
     for image in images:
-        detections, threshold = process_segment(image, context, adaptive_cfg, run,
-                                                dump_dir=dump_dir)
+        detections, threshold = process_segment(image, context, adaptive_cfg, run)
         result.detections.extend(detections)
         result.chosen_thresholds.append(threshold)
     return result

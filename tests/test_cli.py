@@ -140,11 +140,34 @@ class TestDetect:
         assert formats.read_detections(out)[1] == single
         assert single != process_record(record).detections
 
-    @pytest.mark.parametrize("flag", [["--method", "single"], ["--fusion-mode", "flat"]])
+    # (command, flag) pairs: a run key has no flag, and only `detect` dumps stages
+    @pytest.mark.parametrize("flag", [
+        ("detect", ["--method", "single"]),
+        ("detect", ["--fusion-mode", "flat"]),
+        ("inspect", ["--dump-stages", "d"]),
+    ])
     def test_run_keys_are_not_flags(self, flag, optimal_record, capsys):
+        command, argv = flag
         with pytest.raises(SystemExit) as exit_info:
-            main(["detect", str(optimal_record), *flag])
+            main([command, str(optimal_record), *argv])
         assert exit_info.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("method, layers", [("adaptive", 3), ("single_scale", 1)])
+    def test_dump_stages_change_no_detection(self, method, layers, optimal_record, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"method = {method}\n")
+        plain, dumped, dump = tmp_path / "plain.json", tmp_path / "dumped.json", tmp_path / "d"
+        assert main(["detect", str(optimal_record), "--config", str(cfg),
+                     "--out", str(plain)]) == EXIT_OK
+        assert main(["detect", str(optimal_record), "--config", str(cfg),
+                     "--out", str(dumped), "--dump-stages", str(dump)]) == EXIT_OK
+        assert dumped.read_bytes() == plain.read_bytes()
+        names = {f"seg{i}_fused.pgm" for i in range(1, 5)} | {
+            f"seg{i}_L{j}_{stage}.pgm" for i in range(1, 5) for j in range(1, layers + 1)
+            for stage in ("raw", "resp", "env")
+        }
+        assert {path.name for path in dump.iterdir()} == names
 
     @pytest.mark.parametrize("preset", sorted(DUMP_DIGESTS))
     def test_dump_stages_bytes_are_pinned(self, preset, tmp_path, capsys):
@@ -258,6 +281,18 @@ def test_config_too_large_for_record_is_usage_error(line, optimal_record, tmp_pa
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and err.count("\n") == 1
     assert line.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("line", ["gamma = -1", "half_span_la = 100000"])
+def test_refused_run_writes_nothing(line, optimal_record, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out, dump = tmp_path / "d.json", tmp_path / "never"
+    code = main(["detect", str(optimal_record), "--config", str(cfg),
+                 "--out", str(out), "--dump-stages", str(dump)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not dump.exists()
 
 
 @pytest.mark.parametrize("name, content", [

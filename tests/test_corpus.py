@@ -243,7 +243,6 @@ def test_unreadable_inputs_and_unwritable_outputs(rope, capsys):
         ["detect", record, "--out", folder],
         ["detect", record, "--out", root / "missing" / "x.json"],
         ["detect", record, "--dump-stages", record],
-        ["inspect", record, "--dump-stages", record],
         ["generate", "optimal_ssr", "--out", record / "rope"],
         ["evaluate", "--det", rope["det"], "--truth", truth, "--out", folder],
     ]

@@ -10,7 +10,8 @@ import pytest
 from mflscan import pipeline, pyramid
 from mflscan.errors import ImageTooSmall, LayerSmallerThanKernel
 from mflscan.ingest import PreprocessConfig, preprocess
-from mflscan.pipeline import METHODS, RunConfig, method_plan, process_record, process_segment
+from mflscan.pipeline import (METHODS, RunConfig, method_plan, process_record, process_segment,
+                              segment_stages)
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
 
@@ -125,6 +126,43 @@ class TestLayerSkipping:
         calls.clear()
         process_segment(preprocess(record)[0], context, cfg, RunConfig("adaptive"))
         assert calls == []
+
+    def test_stage_names_per_method(self, optimal):
+        record, cfg, context = optimal
+        image = preprocess(record)[0]
+        three = {f"L{j}_{stage}" for j in (1, 2, 3) for stage in ("raw", "resp", "env")}
+        assert context.mu == pytest.approx(1 / 3)
+        for method, expected in (
+            ("single_scale", {"L1_raw", "L1_resp", "L1_env"}),
+            ("unweighted_multiscale", three),
+            ("adaptive", three),
+        ):
+            stages = segment_stages(image, context, cfg, RunConfig(method))
+            assert set(stages) == expected | {"fused"}, method
+            assert stages["fused"].shape == image.pixels.shape
+        # adaptive at mu = 1 (f_spatial 125 samples/m) weights L1 alone
+        preset = scenario_presets()["low_ssr"]
+        record, _ = generate(replace(preset, inspection_speed_mps=2.0, rope_length_m=801 / 125.0))
+        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
+        assert context.mu == 1.0
+        stages = segment_stages(preprocess(record)[0], context, cfg, RunConfig("adaptive"))
+        assert set(stages) == {"L1_raw", "L1_resp", "L1_env", "fused"}
+
+    def test_segment_runs_its_stages_once(self, optimal, monkeypatch):
+        record, _, _ = optimal
+        calls = []
+        stages = pipeline.segment_stages
+
+        def counting_stages(image, *args, **kwargs):
+            calls.append(image.segment_index)
+            return stages(image, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "segment_stages", counting_stages)
+        for method in METHODS:
+            calls.clear()
+            result = process_record(record, run=RunConfig(method))
+            assert calls == [1, 2, 3, 4], method
+            assert len(result.chosen_thresholds) == 4
 
     def test_oversized_kernel_refused_before_template(self, optimal, monkeypatch):
         record, _, _ = optimal

@@ -5,7 +5,7 @@ class MflError(Exception):
     """Base class for all mflscan errors."""
 
 
-class NonPositiveInput(MflError):
+class NonPositiveInput(MflError, ValueError):
     """A quantity that must be strictly positive was zero or negative."""
 
 

@@ -57,7 +57,7 @@ def match_detections(
     (kernel_size / f_spatial). Each truth takes the closest-center overlapping
     detection; leftovers are FP, unmatched truths FN.
     """
-    tolerance = kernel_size / f_spatial if f_spatial > 0 else 0.0
+    tolerance = kernel_size / f_spatial
     unmatched = set(range(len(detections)))
     tp = 0
     for truth in truths:

@@ -4,6 +4,7 @@ detection JSON."""
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,6 +17,20 @@ from .synth import GroundTruthFlaw
 
 MAGIC = b"MFL1"
 SCHEMA_VERSION = 1
+
+NUMBER_RULES = {  # JSON key -> (rule, test) of the keys whose numbers have a range
+    "f_spatial": ("finite and > 0", lambda x: x > 0),
+    "extent_m": ("finite and >= 0", lambda x: x >= 0),
+}
+
+
+def _number(key: str, value) -> float:
+    """`value` of JSON key `key` as a finite float within its rule, or a ValueError naming it."""
+    number = float(value)
+    rule, test = NUMBER_RULES.get(key, ("finite", lambda x: True))
+    if not (math.isfinite(number) and test(number)):
+        raise ValueError(f"{key} must be {rule}, not {value!r}")
+    return number
 
 
 def read_text(path: Path) -> str:
@@ -155,11 +170,12 @@ def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
         payload = json.loads(read_text(path))
         return [
             GroundTruthFlaw(
-                axial_position_m=float(entry["axial_m"]),
-                axial_extent_m=float(entry["extent_m"]),
-                radial_center_channel=float(entry.get("channel", 8.0)),
-                radial_spread_channels=float(entry.get("spread_channels", 2.0)),
-                amplitude=float(entry["amplitude"]),
+                axial_position_m=_number("axial_m", entry["axial_m"]),
+                axial_extent_m=_number("extent_m", entry["extent_m"]),
+                radial_center_channel=_number("channel", entry.get("channel", 8.0)),
+                radial_spread_channels=_number("spread_channels",
+                                               entry.get("spread_channels", 2.0)),
+                amplitude=_number("amplitude", entry["amplitude"]),
             )
             for entry in payload["flaws"]
         ]
@@ -194,15 +210,15 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
         payload = json.loads(read_text(path))
         detections = [
             Detection(
-                box=tuple(int(x) for x in entry["box"]),
-                axial_position_m=float(entry["axial_m"]),
-                score=float(entry["score"]),
-                segment_index=int(entry["segment"]),
-                axial_start_m=float(entry["axial_interval_m"][0]),
-                axial_end_m=float(entry["axial_interval_m"][1]),
+                box=tuple(int(_number("box", x)) for x in entry["box"]),
+                axial_position_m=_number("axial_m", entry["axial_m"]),
+                score=_number("score", entry["score"]),
+                segment_index=int(_number("segment", entry["segment"])),
+                axial_start_m=_number("axial_interval_m", entry["axial_interval_m"][0]),
+                axial_end_m=_number("axial_interval_m", entry["axial_interval_m"][1]),
             )
             for entry in payload["detections"]
         ]
-        return float(payload["f_spatial"]), detections
+        return _number("f_spatial", payload["f_spatial"]), detections
     except (ValueError, OverflowError, RecursionError, KeyError, TypeError, IndexError) as exc:
         raise FormatError(f"{path}: bad detections file: {exc}") from exc

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigInvalid, RecordTooShort
+from .ssr import compute_ssr
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,7 @@ class MflRecord:
             raise ValueError("samples must be an M x N matrix with M >= 1 and N >= 2")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        fs, v = self.sampling_rate_hz, self.inspection_speed_mps
-        if not (fs > 0 and v > 0 and 0 < fs / v < np.inf):
-            raise ValueError("sampling rate, speed and their ratio must be finite and > 0")
+        compute_ssr(self.sampling_rate_hz, self.inspection_speed_mps)
 
     @property
     def sample_count(self) -> int:

@@ -34,14 +34,6 @@ def _keep_freed_heap():
         _MALLOPT(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
-# Fusion mode -> flat layer weights (L1, L2, L3) from the SSR weights. The
-# recursive blend G2 = w2*F2 + (1-w2)*up(F3), G1 = w1*F1 + (1-w1)*up(G2) is a
-# flat blend because bilinear upsampling is linear; it never reads w3.
-FUSION_MODES = {
-    "recursive": lambda w1, w2, w3: (w1, (1.0 - w1) * w2, (1.0 - w1) * (1.0 - w2)),
-    "flat": lambda w1, w2, w3: (w1, w2, w3),
-}
-
 # Each detection method as data: (kernel size, flat fusion weights (L1, L2, L3))
 # from the base kernel K_base, the SSR-adaptive kernel K_a and the SSR weights.
 METHOD_PLANS = {
@@ -54,14 +46,13 @@ METHODS = tuple(METHOD_PLANS)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """The run keys: the method, the fusion mode, the area filter and the threshold step.
+    """The run keys: the method, the area filter and the threshold step.
 
     A threshold step makes ceil(1 / step) - 1 label passes per segment;
     0.001 keeps that at 999.
     """
 
     method: str = "adaptive"
-    fusion_mode: str = "recursive"
     min_area_px: int = 4
     threshold_step: float = 0.05
 
@@ -69,9 +60,6 @@ class RunConfig:
         if self.method not in METHOD_PLANS:
             raise ConfigInvalid(f"unknown method {self.method!r}; "
                                 f"choose from {', '.join(METHODS)}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigInvalid(f"unknown fusion mode {self.fusion_mode!r}; "
-                                f"choose from {', '.join(FUSION_MODES)}")
         if self.min_area_px < 1:
             raise ConfigInvalid(f"min_area_px {self.min_area_px} must be >= 1")
         if not 0.001 <= self.threshold_step < 1:
@@ -94,7 +82,11 @@ def method_plan(
     if height < 4 or length < 4:
         raise ImageTooSmall(f"image_height x segment_length = {height} x {length} is below "
                             "the 4 x 4 minimum of a 3-layer pyramid")
-    ssr_weights = FUSION_MODES[run.fusion_mode](*context.weights)
+    # The adaptive method's recursive blend G2 = w2*F2 + (1-w2)*up(F3),
+    # G1 = w1*F1 + (1-w1)*up(G2) is a flat blend because bilinear upsampling
+    # is linear; it never reads w3.
+    w1, w2, _ = context.weights
+    ssr_weights = (w1, (1.0 - w1) * w2, (1.0 - w1) * (1.0 - w2))
     kernel_size, weights = METHOD_PLANS[run.method](
         adaptive_cfg.kernel_base, context.kernel_size, ssr_weights
     )

@@ -15,14 +15,13 @@ from .errors import ConfigInvalid, NonPositiveInput
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    fs_extreme_hz: float = 250.0
-    v_extreme_mps: float = 1.5
+    f_spatial_extreme: float = 250.0 / 1.5  # samples per metre: 250 Hz at 1.5 m/s
     kernel_base: int = 5
     alpha: float = 5.0
     gamma: float = 2.0
 
     def __post_init__(self):
-        for name in ("fs_extreme_hz", "v_extreme_mps", "alpha", "gamma"):
+        for name in ("f_spatial_extreme", "alpha", "gamma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigInvalid(f"{name} must be finite and > 0, not {value}")
@@ -30,13 +29,6 @@ class AdaptiveConfig:
         # exact, and past the float range it overflows
         if not 2 <= self.kernel_base <= 2**53:
             raise ConfigInvalid("kernel_base must lie in [2, 2**53]")
-        if not 0 < self.f_spatial_extreme < math.inf:
-            raise ConfigInvalid(f"fs_extreme_hz / v_extreme_mps = {self.f_spatial_extreme:g} "
-                                "must be finite and > 0")
-
-    @property
-    def f_spatial_extreme(self) -> float:
-        return self.fs_extreme_hz / self.v_extreme_mps
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -21,14 +22,14 @@ def sha256(path):
 class TestLoadConfig:
     def test_parses_known_keys(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nkernel_base = 7\ngamma = 1.5\nfusion_mode = flat\n")
-        assert load_config(path) == {"kernel_base": 7, "gamma": 1.5, "fusion_mode": "flat"}
+        path.write_text("# comment\nkernel_base = 7\ngamma = 1.5\nmethod = single_scale\n")
+        assert load_config(path) == {"kernel_base": 7, "gamma": 1.5, "method": "single_scale"}
 
     def test_keys_are_the_config_fields(self):
         assert sorted(CONFIG_KEYS) == sorted([
             "half_span_la", "image_height", "segment_length",
-            "fs_extreme_hz", "v_extreme_mps", "kernel_base", "alpha", "gamma",
-            "method", "fusion_mode", "min_area_px", "threshold_step",
+            "f_spatial_extreme", "kernel_base", "alpha", "gamma",
+            "method", "min_area_px", "threshold_step",
         ])
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -204,7 +205,6 @@ def optimal_record(tmp_path_factory):
 BAD_CONFIG_LINES = [
     "gamma = -1",
     "method = foo",
-    "fusion_mode = bogus",
     "image_height = 4",
     "threshold_step = 0",
     "segment_length = 3",
@@ -214,7 +214,7 @@ BAD_CONFIG_LINES = [
     "threshold_step = 2",
     "gamma = inf",
     "alpha = inf",
-    "fs_extreme_hz = inf",
+    "f_spatial_extreme = inf",
     "min_area_px = 0",
     "min_area_px = -3",
 ]
@@ -243,7 +243,7 @@ def test_bad_config_value_is_usage_error(line, optimal_record, tmp_path, capsys)
     pytest.param("kernel_base = 1" + "0" * 400, id="kernel_base = 10**400"),
     "alpha = 1e300",
     "half_span_la = 100000",
-    "fs_extreme_hz = 1e-300\nv_extreme_mps = 1e300",  # the reference ratio underflows
+    "f_spatial_extreme = 0",
 ])
 def test_inspect_refuses_what_detect_refuses(command, lines, optimal_record, tmp_path,
                                              capsys):
@@ -256,6 +256,18 @@ def test_inspect_refuses_what_detect_refuses(command, lines, optimal_record, tmp
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 200
     for line in lines.splitlines():
         assert line.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("command", ["detect", "inspect"])
+@pytest.mark.parametrize("line", ["fusion_mode = recursive", "fs_extreme_hz = 250",
+                                  "v_extreme_mps = 1.5"])
+def test_removed_key_is_unknown(command, line, optimal_record, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    capsys.readouterr()
+    assert main([command, str(optimal_record), "--config", str(cfg)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "unknown key" in err
 
 
 @pytest.mark.parametrize("line", BAD_CONFIG_LINES)
@@ -422,6 +434,46 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # (key, value) set in the detections file: its top-level f_spatial or the first detection's key
+    @pytest.mark.parametrize("key, value", [
+        ("f_spatial", math.nan), ("f_spatial", -500.0), ("f_spatial", 0.0),
+        ("f_spatial", math.inf), ("score", math.nan), ("axial_m", -math.inf),
+    ])
+    def test_out_of_range_detections_number_is_parse_error(self, key, value, optimal_record,
+                                                           tmp_path, capsys):
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        payload = json.loads(det.read_text())
+        (payload if key == "f_spatial" else payload["detections"][0])[key] = value
+        det.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["evaluate", "--det", str(det),
+                     "--truth", str(optimal_record.parent / "rope_truth.json")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"error: {det}: ") and err.count("\n") == 1 and key in err
+
+    @pytest.mark.parametrize("ablation", [False, True], ids=("det", "ablation"))
+    @pytest.mark.parametrize("key, value", [
+        ("axial_m", math.nan), ("extent_m", -0.01), ("amplitude", math.inf),
+    ])
+    def test_out_of_range_truth_number_is_parse_error(self, key, value, ablation,
+                                                      optimal_record, tmp_path, capsys):
+        truth = json.loads((optimal_record.parent / "rope_truth.json").read_text())
+        truth["flaws"][0][key] = value
+        bad = tmp_path / "truth.json"
+        bad.write_text(json.dumps(truth))
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        source = ["--det", str(det)]
+        if ablation:
+            source = ["--ablation", "--record", str(optimal_record)]
+        capsys.readouterr()
+        assert main(["evaluate", *source, "--truth", str(bad)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and key in err
+
     def test_ablation_produces_three_sections(self, tmp_path, capsys):
         main(["generate", "optimal_ssr", "--out", str(tmp_path / "rope")])
         capsys.readouterr()
@@ -438,8 +490,7 @@ class TestEvaluate:
         }
 
     @pytest.mark.parametrize("line", ["method = foo", "method = adaptive",
-                                      "fusion_mode = bogus", "threshold_step = 2",
-                                      "min_area_px = 0"])
+                                      "threshold_step = 2", "min_area_px = 0"])
     def test_ablation_bad_run_key_is_usage_error(self, line, optimal_record, tmp_path,
                                                  capsys):
         cfg = tmp_path / "run.cfg"
@@ -476,11 +527,20 @@ class TestInspect:
         assert payload["K_a"] == 9
         assert sum(payload["weights"]) == pytest.approx(1.0)
 
+    def test_reference_is_samples_per_metre(self, optimal_record, tmp_path, capsys):
+        # optimal_ssr scans 500 samples per metre: at that reference mu is 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f_spatial_extreme = 500\n")
+        capsys.readouterr()
+        assert main(["inspect", str(optimal_record), "--config", str(cfg)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["mu"], payload["K_a"]) == (1.0, 5)
+        assert payload["weights"] == payload["fusion_weights"] == [1.0, 0.0, 0.0]
+
     def test_fusion_weights_are_the_applied_ones(self, optimal_record, tmp_path, capsys):
         # mu = 1/3: recursive fusion applies (w1, (1-w1)*w2, (1-w1)*(1-w2))
         expected = {
             "": (1 / 9, 32 / 81, 40 / 81),
-            "fusion_mode = flat": (1 / 9, 4 / 9, 4 / 9),
             "method = single_scale": (1.0, 0.0, 0.0),
             "method = unweighted_multiscale": (1 / 3, 1 / 3, 1 / 3),
         }

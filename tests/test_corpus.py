@@ -130,8 +130,6 @@ def test_bad_csv_records(rope, capsys):
 
 def test_hostile_config_values(rope, capsys):
     cfg_lines = [f"{key} = {value}" for key in CONFIG_KEYS for value in HOSTILE_VALUES]
-    cfg_lines += ["fs_extreme_hz = 1e-300\nv_extreme_mps = 1e300",
-                  "fs_extreme_hz = 1e300\nv_extreme_mps = 1e-300"]
     cases = []
     for i, line in enumerate(cfg_lines):
         cfg = rope["root"] / f"cfg{i}.cfg"

@@ -358,8 +358,6 @@ class TestFuse:
         context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
         image = preprocess(record)[0]
         with pytest.raises(ValueError):
-            process_segment(image, context, cfg, RunConfig(fusion_mode="pyramidal"))
-        with pytest.raises(ValueError):
             process_segment(image, context, cfg, RunConfig(method="foo"))
 
     def test_result_type(self):

@@ -152,9 +152,8 @@ class TestRunAblation:
         dataset = make_eval_dataset(preset, 1, base_seed=0)
         report = run_ablation(dataset, "adaptive", run=RunConfig(min_area_px=10**6))
         assert (report.tp, report.fp) == (0, 0)
-        for bad in ({"fusion_mode": "bogus"}, {"threshold_step": 0.0}):
-            with pytest.raises(ConfigInvalid):
-                run_ablation(dataset, "adaptive", run=RunConfig(**bad))
+        with pytest.raises(ConfigInvalid):
+            run_ablation(dataset, "adaptive", run=RunConfig(threshold_step=0.0))
 
     def test_optimal_preset_record_fully_detected(self):
         preset = scenario_presets()["optimal_ssr"]

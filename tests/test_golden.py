@@ -15,9 +15,6 @@ BASE_SEED = 7
 RECORDS_PER_PRESET = 3
 GOLDEN_DIGEST = "eabe525ce7bff479383dec7ba19e6879bc15e438c6b7f9ef80aeb17ab6a0c9e9"
 GOLDEN_COUNT = 115
-# adaptive method with fusion_mode="flat", same seeds and presets
-FLAT_GOLDEN_DIGEST = "9597f4ba52314763dea99e755680ebb9edba5b29e5cc39592d5fe8d0497dc838"
-FLAT_GOLDEN_COUNT = 36
 
 
 def detections_digest(methods=METHODS, **options):
@@ -37,8 +34,3 @@ def detections_digest(methods=METHODS, **options):
 def test_detections_match_golden_digest():
     digest, count = detections_digest()
     assert (digest, count) == (GOLDEN_DIGEST, GOLDEN_COUNT)
-
-
-def test_flat_fusion_matches_golden_digest():
-    digest, count = detections_digest(("adaptive",), fusion_mode="flat")
-    assert (digest, count) == (FLAT_GOLDEN_DIGEST, FLAT_GOLDEN_COUNT)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from mflscan.errors import ConfigInvalid, RecordTooShort
+from mflscan.errors import ConfigInvalid, NonPositiveInput, RecordTooShort
 from mflscan.ingest import (
     MflImage,
     MflRecord,
@@ -76,6 +76,11 @@ class TestRecordValidation:
                 make_record(np.zeros((10, 4)), v=bad)
             with pytest.raises(ValueError):
                 make_record(np.zeros((10, 4)), fs=bad)
+
+    def test_rate_and_speed_checked_by_compute_ssr(self):
+        for fs, v in ((0.0, 0.5), (250.0, -1.0), (1e-300, 1e300), (1e300, 1e-300)):
+            with pytest.raises(NonPositiveInput, match="their ratio"):
+                make_record(np.zeros((10, 4)), fs=fs, v=v)
 
     def test_shape_properties(self):
         rec = make_record(np.zeros((30, 4)))

@@ -30,17 +30,14 @@ def optimal():
 class TestMethodPlan:
     def test_table(self, optimal):
         _, cfg, context = optimal
-        w1, w2, w3 = context.weights
+        w1, w2, _ = context.weights
         assert method_plan(context, cfg, SHAPE, RunConfig("single_scale")) == (
             cfg.kernel_base, (1.0, 0.0, 0.0)
         )
         assert method_plan(context, cfg, SHAPE, RunConfig("unweighted_multiscale")) == (
             context.kernel_size, (1 / 3, 1 / 3, 1 / 3)
         )
-        assert method_plan(context, cfg, SHAPE, RunConfig("adaptive", "flat")) == (
-            context.kernel_size, (w1, w2, w3)
-        )
-        kernel, weights = method_plan(context, cfg, SHAPE, RunConfig("adaptive", "recursive"))
+        kernel, weights = method_plan(context, cfg, SHAPE, RunConfig("adaptive"))
         assert kernel == context.kernel_size
         assert weights == pytest.approx((w1, (1 - w1) * w2, (1 - w1) * (1 - w2)), abs=1e-15)
         assert sum(weights) == pytest.approx(1.0)
@@ -48,8 +45,6 @@ class TestMethodPlan:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="method"):
             RunConfig("foo")
-        with pytest.raises(ValueError, match="fusion mode"):
-            RunConfig("adaptive", "pyramidal")
 
     def test_record_kernel_size_from_plan(self, optimal):
         record, cfg, context = optimal

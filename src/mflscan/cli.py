@@ -1,7 +1,8 @@
 """Command-line entry point: generate, detect, evaluate, inspect.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 internal
-invariant violation.
+Exit codes: 0 success, 2 usage error (`errors.ConfigInvalid`, or an output
+that cannot be written), 3 input parse error (`errors.FormatError`), 4
+internal invariant violation (`errors.DimensionMismatch`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cache
 from pathlib import Path
 
 from . import formats
-from .errors import ConfigInvalid, FormatError, MflError, SpecInvalid
+from .errors import ConfigInvalid, FormatError, MflError
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig, preprocess
 from .pipeline import RunConfig, process_record, segment_stages
@@ -73,30 +74,26 @@ def _sections(values: dict) -> list:
 
 
 def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
+    # the seed goes in before the spec checks itself, so --seed can mend a bad rng_seed
+    overrides = {} if seed is None else {"rng_seed": seed}
     presets = scenario_presets()
     if spec_arg in presets:
-        spec = presets[spec_arg]
-    else:
-        path = Path(spec_arg)
-        if not path.exists():
-            raise FormatError(
-                f"{spec_arg!r} is neither a preset ({', '.join(presets)}) nor a file"
-            )
-        try:
-            payload = json.loads(formats.read_text(path))
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise FormatError(f"{path}: a spec is a JSON object, not {type(payload).__name__}")
-        try:
-            flaws = tuple(GroundTruthFlaw(**_typed(GroundTruthFlaw, flaw))
-                          for flaw in payload.pop("flaws", []))
-            spec = SynthSpec(**_typed(SynthSpec, dict(payload, flaws=flaws)))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    if seed is not None:
-        spec = dataclasses.replace(spec, rng_seed=seed)
-    return spec
+        return dataclasses.replace(presets[spec_arg], **overrides)
+    path = Path(spec_arg)
+    if not path.exists():
+        raise FormatError(f"{spec_arg!r} is neither a preset ({', '.join(presets)}) nor a file")
+    try:
+        payload = json.loads(formats.read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: a spec is a JSON object, not {type(payload).__name__}")
+    try:
+        flaws = tuple(GroundTruthFlaw(**_typed(GroundTruthFlaw, flaw))
+                      for flaw in payload.pop("flaws", []))
+        return SynthSpec(**_typed(SynthSpec, dict(payload, flaws=flaws)) | overrides)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -258,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, SpecInvalid) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:  # each input reader maps its own OSError to FormatError

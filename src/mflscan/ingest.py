@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigInvalid, RecordTooShort
+from .errors import ConfigInvalid
 from .ssr import compute_ssr
 
 
@@ -84,7 +84,7 @@ def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
     m_count = x.shape[0]
     la = cfg.half_span_la
     if m_count < 2 * la:
-        raise RecordTooShort(
+        raise ConfigInvalid(
             f"record has {m_count} samples, half_span_la = {la} needs at least {2 * la}"
         )
     csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
@@ -144,7 +144,7 @@ class Segments(Sequence):
     def __init__(self, normalized: np.ndarray, basis: np.ndarray, length: int):
         m_count = normalized.shape[0]
         if m_count < length:
-            raise RecordTooShort(
+            raise ConfigInvalid(
                 f"record has {m_count} samples, segment_length = {length} needs at least {length}"
             )
         self._rows, self._basis, self._length = normalized, basis, length

@@ -7,7 +7,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .enhance import enhance_layer, fuse, peak_normalize
-from .errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
+from .errors import ConfigInvalid
 from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
 from .pyramid import build_pyramid, build_template, match
@@ -24,7 +24,7 @@ def _keep_freed_heap():
     malloc hands freed memory at the top of its heap back to the OS above a
     threshold that grows with the largest block freed so far, so a process
     that streams short records, and so never frees a large block, faults the
-    working set back in on every segment (about 3600 page faults per
+    working set back in on every segment (2200-2800 minor page faults per
     4-segment record). Pin the thresholds at the ceiling glibc's own rule
     reaches: blocks up to 32 MiB come from the heap, and up to 64 MiB of it
     is kept when free. The setting holds for the rest of the process.
@@ -80,7 +80,7 @@ def method_plan(
     """
     height, length = shape
     if height < 4 or length < 4:
-        raise ImageTooSmall(f"image_height x segment_length = {height} x {length} is below "
+        raise ConfigInvalid(f"image_height x segment_length = {height} x {length} is below "
                             "the 4 x 4 minimum of a 3-layer pyramid")
     # The adaptive method's recursive blend G2 = w2*F2 + (1-w2)*up(F3),
     # G1 = w1*F1 + (1-w1)*up(G2) is a flat blend because bilinear upsampling
@@ -93,7 +93,7 @@ def method_plan(
     pools = max(j for j, w in enumerate(weights) if w)  # 2x2 poolings to the last used layer
     layer = (height >> pools, length >> pools)
     if min(layer) < kernel_size:
-        raise LayerSmallerThanKernel(
+        raise ConfigInvalid(
             f"kernel size {kernel_size:.6g} (from kernel_base and alpha) exceeds layer "
             f"L{pools + 1} {layer} of image_height x segment_length = {height} x {length}"
         )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigInvalid, NonPositiveInput
+from .errors import ConfigInvalid
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class SsrContext:
 def compute_ssr(fs_hz: float, v_mps: float) -> float:
     """Samples per meter of rope: f_s / v."""
     if not (fs_hz > 0 and v_mps > 0 and 0 < fs_hz / v_mps < math.inf):
-        raise NonPositiveInput("sampling rate, speed and their ratio must be finite and > 0")
+        raise ValueError("sampling rate, speed and their ratio must be finite and > 0")
     return fs_hz / v_mps
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
-from .errors import SpecInvalid
+from .errors import FormatError
 from .ingest import MflRecord
 
 # axial sigma of a stripe artifact, meters (full radial height, short axially)
@@ -54,29 +54,29 @@ class SynthSpec:
     rng_seed: int = 0
     label: str = "synthetic"
 
-    def validate(self):
+    def __post_init__(self):
         """Refuse a spec that cannot be rendered into an MFL1 record."""
         _require_finite(self, 0, True, "rope_length_m", "inspection_speed_mps",
                         "sampling_rate_hz", "strand_pitch_m")
         _require_finite(self, 0, False, "strand_amplitude", "stripe_noise_rate_per_m",
                         "stripe_amplitude", "drift_amplitude", "white_noise_sigma")
         if self.channel_count < 2:
-            raise SpecInvalid("need at least 2 channels")
+            raise FormatError("need at least 2 channels")
         if self.rng_seed < 0:
-            raise SpecInvalid(f"rng_seed must be >= 0, got {self.rng_seed}")
+            raise FormatError(f"rng_seed must be >= 0, got {self.rng_seed}")
         f_spatial = self.sampling_rate_hz / self.inspection_speed_mps
         samples = self.rope_length_m * f_spatial
         if not MIN_SAMPLES <= samples < MAX_SAMPLES + 1:
-            raise SpecInvalid(
+            raise FormatError(
                 f"rope_length_m * sampling_rate_hz / inspection_speed_mps gives {samples:.6g} "
                 f"samples; a record holds {MIN_SAMPLES} to {MAX_SAMPLES}"
             )
         if self.stripe_noise_rate_per_m * self.rope_length_m > samples:
-            raise SpecInvalid("stripe_noise_rate_per_m expects more stripes than the rope has "
+            raise FormatError("stripe_noise_rate_per_m expects more stripes than the rope has "
                               "samples")
         for flaw in self.flaws:
             if not 0 <= flaw.axial_position_m <= self.rope_length_m:
-                raise SpecInvalid(
+                raise FormatError(
                     f"flaw at {flaw.axial_position_m} m lies outside the rope"
                 )
             _require_finite(flaw, 0, True, "amplitude")
@@ -84,7 +84,7 @@ class SynthSpec:
             _require_finite(flaw, 1 / f_spatial, False, "axial_extent_m")
             _require_finite(flaw, 0, False, "radial_spread_channels")
             if not math.isfinite(flaw.radial_center_channel):
-                raise SpecInvalid(f"radial_center_channel must be finite, "
+                raise FormatError(f"radial_center_channel must be finite, "
                                   f"got {flaw.radial_center_channel}")
 
 
@@ -93,7 +93,7 @@ def _require_finite(obj, low: float, strict: bool, *names: str):
     for name in names:
         value = getattr(obj, name)
         if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            raise SpecInvalid(f"{name} must be finite and {'>' if strict else '>='} {low}, "
+            raise FormatError(f"{name} must be finite and {'>' if strict else '>='} {low}, "
                               f"got {value}")
 
 
@@ -114,7 +114,6 @@ def _channel_weights(flaw: GroundTruthFlaw, n_channels: int) -> np.ndarray:
 
 def generate(spec: SynthSpec) -> tuple[MflRecord, list[GroundTruthFlaw]]:
     """Render a record from the spec. Same spec and seed give identical bits."""
-    spec.validate()
     f_spatial = spec.sampling_rate_hz / spec.inspection_speed_mps
     m_count = int(np.floor(spec.rope_length_m * f_spatial))
     n = spec.channel_count

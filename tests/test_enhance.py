@@ -13,10 +13,7 @@ from mflscan.enhance import (
     upsample_bilinear,
 )
 from mflscan.errors import ConfigInvalid, DimensionMismatch
-from mflscan.ingest import preprocess
-from mflscan.pipeline import RunConfig, process_segment
-from mflscan.ssr import AdaptiveConfig, build_context
-from mflscan.synth import generate, scenario_presets
+from mflscan.ssr import AdaptiveConfig
 
 
 def naive_maxima_mask(enhanced):
@@ -351,14 +348,6 @@ class TestFuse:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             fuse((np.zeros((8, 8)), np.zeros((5, 4)), np.zeros((2, 2))), (1, 0, 0))
-
-    def test_unknown_mode_rejected(self):
-        record, _ = generate(scenario_presets()["optimal_ssr"])
-        cfg = AdaptiveConfig()
-        context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, cfg)
-        image = preprocess(record)[0]
-        with pytest.raises(ValueError):
-            process_segment(image, context, cfg, RunConfig(method="foo"))
 
     def test_result_type(self):
         out = fuse(self._layers(), (0.5, 0.3, 0.2))

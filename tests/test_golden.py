@@ -17,13 +17,12 @@ GOLDEN_DIGEST = "eabe525ce7bff479383dec7ba19e6879bc15e438c6b7f9ef80aeb17ab6a0c9e
 GOLDEN_COUNT = 115
 
 
-def detections_digest(methods=METHODS, **options):
+def detections_digest():
     lines = []
     for preset in scenario_presets().values():
         for record, _ in make_eval_dataset(preset, RECORDS_PER_PRESET, BASE_SEED):
-            for method in methods:
-                run = RunConfig(method=method, **options)
-                for d in process_record(record, run=run).detections:
+            for method in METHODS:
+                for d in process_record(record, run=RunConfig(method=method)).detections:
                     lines.append(
                         f"{record.label} {method} {d.segment_index} {d.box} "
                         f"{d.axial_start_m!r} {d.axial_end_m!r} {round(d.score, 9)!r}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from mflscan.errors import ConfigInvalid, NonPositiveInput, RecordTooShort
+from mflscan.errors import ConfigInvalid
 from mflscan.ingest import (
     MflImage,
     MflRecord,
@@ -79,7 +79,7 @@ class TestRecordValidation:
 
     def test_rate_and_speed_checked_by_compute_ssr(self):
         for fs, v in ((0.0, 0.5), (250.0, -1.0), (1e-300, 1e300), (1e300, 1e-300)):
-            with pytest.raises(NonPositiveInput, match="their ratio"):
+            with pytest.raises(ValueError, match="their ratio"):
                 make_record(np.zeros((10, 4)), fs=fs, v=v)
 
     def test_shape_properties(self):
@@ -134,9 +134,8 @@ class TestDetrend:
     def test_too_short_record_rejected(self):
         # a window too wide for the record is a config error that names its key
         rec = make_record(np.zeros((30, 2)))
-        with pytest.raises(RecordTooShort, match="half_span_la = 20") as info:
+        with pytest.raises(ConfigInvalid, match="half_span_la = 20"):
             detrend(rec, PreprocessConfig(half_span_la=20))
-        assert isinstance(info.value, ConfigInvalid)
 
     def test_idempotent_on_trendless_input(self):
         rng = np.random.default_rng(11)
@@ -266,7 +265,7 @@ class TestSegment:
         assert len(Segments(f, np.eye(4), 200)) == 1
 
     def test_record_shorter_than_segment_rejected(self):
-        with pytest.raises(RecordTooShort, match="segment_length = 200"):
+        with pytest.raises(ConfigInvalid, match="segment_length = 200"):
             Segments(np.zeros((150, 4)), np.eye(4), 200)
 
     def test_segments_partition_exactly(self):

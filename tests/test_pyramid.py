@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mflscan.errors import ConfigInvalid, ImageTooSmall, LayerSmallerThanKernel
+from mflscan.errors import ConfigInvalid
 from mflscan.pipeline import RunConfig, method_plan
 from mflscan.pyramid import build_pyramid, build_template, match
 from mflscan.ssr import AdaptiveConfig, build_context
@@ -88,7 +88,7 @@ class TestBuildPyramid:
 
     def test_too_small_rejected(self):
         # the segment shape is checked once, in the run's plan
-        with pytest.raises(ImageTooSmall, match="image_height x segment_length"):
+        with pytest.raises(ConfigInvalid, match="image_height x segment_length = 3 x 10 is below"):
             method_plan(CONTEXT, CFG, (3, 10), RunConfig(method="single_scale"))
 
 
@@ -162,5 +162,5 @@ class TestMatch:
 
     def test_layer_smaller_than_kernel_rejected(self):
         # L1 of a 4 x 10 segment is smaller than kernel_base = 5
-        with pytest.raises(LayerSmallerThanKernel, match="kernel_base"):
+        with pytest.raises(ConfigInvalid, match=r"kernel size 5 \(from kernel_base and alpha\) exceeds layer L1"):
             method_plan(CONTEXT, CFG, (4, 10), RunConfig(method="single_scale"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mflscan.errors import ConfigInvalid, NonPositiveInput
+from mflscan.errors import ConfigInvalid
 from mflscan.ssr import (
     AdaptiveConfig,
     adaptive_kernel_size,
@@ -28,12 +28,12 @@ class TestComputeSsr:
             assert compute_ssr(f, f) == pytest.approx(1.0)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ValueError, match="their ratio"):
             compute_ssr(0.0, 1.0)
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ValueError, match="their ratio"):
             compute_ssr(250.0, -1.0)
         for fs, v in ((1e-300, 1e300), (1e300, 1e-300)):  # the ratio under/overflows
-            with pytest.raises(NonPositiveInput):
+            with pytest.raises(ValueError, match="their ratio"):
                 compute_ssr(fs, v)
 
     def test_inverts_exactly(self):
@@ -58,7 +58,7 @@ class TestNormalizeSsr:
     def test_rejects_non_positive(self):
         # f_spatial <= 0 is refused where it is computed, for the public
         # build_context; the extreme reference where it is configured
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ValueError, match="their ratio"):
             build_context(0.0, 1.0)
         with pytest.raises(ConfigInvalid, match="f_spatial_extreme"):
             AdaptiveConfig(f_spatial_extreme=0.0)
@@ -86,7 +86,7 @@ class TestAdaptiveKernelSize:
         # inf, the record's f_spatial likewise, and normalize_ssr clamps
         with pytest.raises(ConfigInvalid, match="f_spatial_extreme"):
             AdaptiveConfig(f_spatial_extreme=0.0)
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(ValueError, match="their ratio"):
             build_context(1e300, 1e-300)
         for fs, v in ((1e-6, 1e6), (250.0, 0.5), (1e6, 1e-6)):
             assert 0 < build_context(fs, v).mu <= 1

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mflscan.errors import SpecInvalid
+from mflscan.errors import FormatError
 from mflscan.synth import (
     GroundTruthFlaw,
     SynthSpec,
@@ -72,17 +72,17 @@ class TestGenerate:
         assert np.trapezoid(profile, s) == pytest.approx(0.0, abs=1e-9)
 
     def test_too_short_spec_rejected(self):
-        with pytest.raises(SpecInvalid):
-            generate(quiet_spec(rope_length_m=0.5))
+        with pytest.raises(FormatError, match="gives 250 samples"):
+            quiet_spec(rope_length_m=0.5)
 
     def test_invalid_speed_names_field(self):
-        with pytest.raises(SpecInvalid, match="inspection_speed_mps"):
-            quiet_spec(inspection_speed_mps=-1.0).validate()
+        with pytest.raises(FormatError, match="inspection_speed_mps"):
+            quiet_spec(inspection_speed_mps=-1.0)
 
     def test_flaw_outside_rope_rejected(self):
         flaw = GroundTruthFlaw(axial_position_m=10.0)
-        with pytest.raises(SpecInvalid):
-            quiet_spec(flaws=(flaw,)).validate()
+        with pytest.raises(FormatError, match="lies outside the rope"):
+            quiet_spec(flaws=(flaw,))
 
     def test_stripes_span_all_channels(self):
         spec = quiet_spec(stripe_noise_rate_per_m=5.0, stripe_amplitude=1.0,

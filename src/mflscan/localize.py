@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 from scipy.ndimage import find_objects, label
@@ -32,46 +31,68 @@ class Detection:
 
 @dataclass(frozen=True)
 class ThresholdScan:
+    """The region-count curve the scan labelled, and the threshold it chose.
+
+    `thresholds` is the top slice of the grid {step, 2*step, ...} < 1 that the
+    scan labelled, ascending, and `region_counts[i]` is the number of white
+    regions at `thresholds[i]`. The slice holds at least the chosen plateau;
+    both are empty for an all-zero image.
+    """
+
     thresholds: tuple[float, ...]
     region_counts: tuple[int, ...]
     chosen_threshold: float
 
 
 def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
-    """Sweep binarization thresholds and pick the most stable one.
+    """Pick the binarization threshold with the most stable region count.
 
-    Every threshold in {step, 2*step, ...} < 1 is applied to the peak-normalized
-    fused image `norm` and the 8-connected white regions are counted; the peak
-    pixel passes every threshold, so each count is at least 1. The chosen
-    threshold is the midpoint of the longest contiguous plateau of constant
-    region count; ties break toward the higher plateau. An all-zero image
-    yields an empty scan with sentinel 1.0.
+    The grid is every threshold in {step, 2*step, ...} < 1, applied to the
+    peak-normalized fused image `norm`; each pass counts the 8-connected
+    white regions, at least 1, since the peak pixel passes every threshold.
+    The chosen threshold is the midpoint of the longest contiguous plateau of
+    constant region count; ties break toward the higher plateau. An all-zero
+    image yields an empty scan with sentinel 1.0.
+
+    The scan runs from the top threshold down, so the passes over the small
+    windows of high thresholds come first. It keeps the longest closed
+    plateau, of length L, and replaces it only with a strictly longer one:
+    every later run is lower, and a tie goes to the higher plateau. It stops
+    once the open run of equal counts, whose highest threshold has grid
+    index `run_top` (0 is the lowest), has `run_top + 1 <= L`. That is
+    exact: every unscanned threshold lies below the open run, which can grow
+    to at most `run_top + 1` thresholds, and any run wholly below it is
+    shorter still, so neither can beat L. The choice is therefore that of
+    the full sweep. A step s makes at most ceil(1/s) - 1 label passes.
     """
     if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     count = int(math.ceil(1.0 / step)) - 1
-    thresholds = [round((i + 1) * step, 12) for i in range(count)]
+    grid = [round((i + 1) * step, 12) for i in range(count)]
     # every pixel >= t lies in the window from the first to the last row and
     # column whose peak reaches t, so labeling the window alone counts the
     # same regions as labeling the whole image
-    levels = np.array(thresholds)[:, None]
+    levels = np.array(grid)[:, None]
     r0, r1 = _hit_span(norm.max(axis=1) >= levels)
     c0, c1 = _hit_span(norm.max(axis=0) >= levels)
-    counts = []
-    for t, top, bottom, left, right in zip(thresholds, r0, r1, c0, c1):
-        _, n_regions = label(norm[top:bottom, left:right] >= t, structure=EIGHT_CONNECTED)
+    counts = []  # from the top threshold down
+    best = (0, 0, 0)  # (length, first, last) grid indices of the longest closed plateau
+    run_top = count - 1  # the open run of equal counts spans run_top down to i
+    for i in range(count - 1, -1, -1):
+        _, n_regions = label(norm[r0[i]:r1[i], c0[i]:c1[i]] >= grid[i], structure=EIGHT_CONNECTED)
+        if counts and n_regions != counts[-1]:
+            if run_top - i > best[0]:
+                best = (run_top - i, i + 1, run_top)
+            run_top = i
         counts.append(n_regions)
-
-    best, start = (0, 0, 0), 0  # (length, first, last) of the longest plateau
-    for _, run in groupby(counts):
-        length = len(list(run))
-        if length >= best[0]:
-            best = (length, start, start + length - 1)
-        start += length
+        if run_top + 1 <= best[0]:
+            break
+    else:  # never stopped: the last run reaches the bottom and beats L
+        best = (run_top + 1, 0, run_top)
     return ThresholdScan(
-        thresholds=tuple(thresholds),
-        region_counts=tuple(counts),
-        chosen_threshold=(thresholds[best[1]] + thresholds[best[2]]) / 2.0,
+        thresholds=tuple(grid[i:]),
+        region_counts=tuple(reversed(counts)),
+        chosen_threshold=(grid[best[1]] + grid[best[2]]) / 2.0,
     )
 
 

@@ -48,8 +48,8 @@ METHODS = tuple(METHOD_PLANS)
 class RunConfig:
     """The run keys: the method, the area filter and the threshold step.
 
-    A threshold step makes ceil(1 / step) - 1 label passes per segment;
-    0.001 keeps that at 999.
+    A threshold step makes at most ceil(1 / step) - 1 label passes per
+    segment; 0.001 keeps that at 999.
     """
 
     method: str = "adaptive"

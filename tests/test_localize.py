@@ -66,6 +66,20 @@ def components(binary, min_area_px=4, intensity=None, origin_sample=0, f_spatial
                               origin_sample=origin_sample, f_spatial=f_spatial)
 
 
+def grid_top(step, passes):
+    """The top `passes` thresholds of the scan's grid {step, 2*step, ...} < 1, ascending."""
+    grid = [round((i + 1) * step, 12) for i in range(int(np.ceil(1 / step)) - 1)]
+    return tuple(grid[len(grid) - passes:])
+
+
+def planted_blobs(*values):
+    """A 20 x 20 image of separate 3 x 3 blobs at the given values, down a diagonal."""
+    img = np.zeros((20, 20))
+    for k, value in enumerate(values):
+        img[2 + 6 * k : 5 + 6 * k, 2 + 6 * k : 5 + 6 * k] = value
+    return img
+
+
 def random_blobs(rng, shape, levels):
     """A sparse image of random rectangles on faint noise, quantized to
     `levels` steps so that many pixels sit exactly on a threshold (plateaus)."""
@@ -85,6 +99,8 @@ class TestAdaptiveThreshold:
         scan = adaptive_threshold(normalized(img), STEP)
         assert set(scan.region_counts) == {2}
         assert scan.chosen_threshold == pytest.approx(0.5)
+        # the counts never change, so no plateau closes and every pass runs
+        assert scan.thresholds == grid_top(STEP, 19)
 
     def test_all_zero_image_sentinel(self):
         scan = adaptive_threshold(normalized(np.zeros((10, 10))), STEP)
@@ -114,6 +130,23 @@ class TestAdaptiveThreshold:
         assert counts[scan.thresholds.index(0.3)] == 2
         assert counts[scan.thresholds.index(0.7)] == 1
         assert scan.chosen_threshold == pytest.approx(0.75)
+        # the 2-run could tie only until its last pass, so the scan reaches the bottom
+        assert scan.thresholds == grid_top(STEP, 19)
+
+    @pytest.mark.parametrize("values, curve, passes, chosen", [
+        # 2 x 5 then 1 x 14: once the 14-plateau closes, no lower run can match it
+        ((1.0, 0.27), (2,) * 5 + (1,) * 14, 15, 0.625),
+        # 3 x 9, 2, 1 x 9: the open 3-run could at best tie the 9-plateau, and
+        # a tie goes to the higher plateau, so the scan stops on its first pass
+        ((1.0, 0.52, 0.47), (3,) * 9 + (2,) + (1,) * 9, 11, 0.75),
+    ])
+    def test_stops_once_no_lower_threshold_can_change_the_choice(self, values, curve,
+                                                                   passes, chosen):
+        scan = adaptive_threshold(normalized(planted_blobs(*values)), STEP)
+        assert len(scan.thresholds) == passes
+        assert scan.thresholds == grid_top(STEP, passes)
+        assert scan.region_counts == curve[len(curve) - passes:]
+        assert scan.chosen_threshold == pytest.approx(chosen)
 
     def test_rejects_step_outside_unit_interval(self):
         # the step is checked once, by RunConfig

@@ -5,7 +5,12 @@ with the same order of floating-point operations as the code they replaced,
 so their outputs must be equal bit for bit, not merely close. The replaced
 formulations live on here only, as oracles. Equality of the `correlate1d`
 and `mean` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
+The threshold scan stops early instead, so its oracle pins the choice and
+the part of the curve it labelled, and the pipeline's detections.
 """
+
+import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -14,10 +19,19 @@ from scipy.ndimage import correlate1d, find_objects, label
 from mflscan import pipeline
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
 from mflscan.ingest import preprocess
-from mflscan.localize import EIGHT_CONNECTED, Detection, _wrap_merge, extract_components
+from mflscan.enhance import peak_normalize
+from mflscan.localize import (
+    EIGHT_CONNECTED,
+    Detection,
+    ThresholdScan,
+    _hit_span,
+    _wrap_merge,
+    adaptive_threshold,
+    extract_components,
+)
 from mflscan.pipeline import METHODS, RunConfig, process_record
 from mflscan.pyramid import _pool2, build_pyramid, build_template, match
-from mflscan.synth import generate, scenario_presets
+from mflscan.synth import generate, make_eval_dataset, scenario_presets
 
 
 def reshape_mean_pool2(img):
@@ -111,6 +125,34 @@ def full_image_extract_components(binary, intensity, min_area_px, *, segment_ind
         ))
     detections.sort(key=lambda d: d.box[0])
     return detections
+
+
+def full_sweep_adaptive_threshold(norm, step):
+    """The replaced `adaptive_threshold`: every threshold of the grid is
+    labelled, bottom up, and the longest plateau is found over the whole
+    curve; `>=` lets a later (higher) plateau win a tie."""
+    if not norm.any():
+        return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
+    count = int(math.ceil(1.0 / step)) - 1
+    thresholds = [round((i + 1) * step, 12) for i in range(count)]
+    levels = np.array(thresholds)[:, None]
+    r0, r1 = _hit_span(norm.max(axis=1) >= levels)
+    c0, c1 = _hit_span(norm.max(axis=0) >= levels)
+    counts = []
+    for t, top, bottom, left, right in zip(thresholds, r0, r1, c0, c1):
+        _, n_regions = label(norm[top:bottom, left:right] >= t, structure=EIGHT_CONNECTED)
+        counts.append(n_regions)
+    best, start = (0, 0, 0), 0  # (length, first, last) of the longest plateau
+    for _, run in groupby(counts):
+        length = len(list(run))
+        if length >= best[0]:
+            best = (length, start, start + length - 1)
+        start += length
+    return ThresholdScan(
+        thresholds=tuple(thresholds),
+        region_counts=tuple(counts),
+        chosen_threshold=(thresholds[best[1]] + thresholds[best[2]]) / 2.0,
+    )
 
 
 def mixed_magnitudes(rng, shape):
@@ -296,3 +338,78 @@ class TestExtractComponents:
     def test_equals_full_image_on_empty_binary(self):
         binary = np.zeros((200, 200), dtype=np.uint8)
         assert assert_components_equal(binary, np.ones(binary.shape), 1) == []
+
+
+def assert_scan_equals_full_sweep(norm, step):
+    """The top-down scan chooses the full sweep's threshold, and its curve is
+    the full curve's top slice; returns the number of passes it made."""
+    scan, full = adaptive_threshold(norm, step), full_sweep_adaptive_threshold(norm, step)
+    assert scan.chosen_threshold == full.chosen_threshold
+    passes = len(scan.thresholds)
+    assert len(scan.region_counts) == passes >= (1 if full.thresholds else 0)
+    assert scan.thresholds == full.thresholds[len(full.thresholds) - passes:]
+    assert scan.region_counts == full.region_counts[len(full.thresholds) - passes:]
+    return passes, len(full.thresholds)
+
+
+def plateau_blobs(rng, shape, levels):
+    """Random rectangles on sparse faint noise, quantized to `levels` steps, so
+    that many pixels sit exactly on a threshold and plateaus of equal length
+    tie."""
+    h, w = shape
+    img = rng.uniform(0, 0.3, size=shape) * (rng.uniform(size=shape) < 0.3)
+    for _ in range(rng.integers(1, 8)):
+        r, c = rng.integers(0, h), rng.integers(0, w)
+        img[r : r + rng.integers(1, 6), c : c + rng.integers(1, 6)] = rng.uniform(0.2, 1)
+    return np.round(img * levels) / levels
+
+
+@pytest.fixture(scope="module")
+def threshold_calls():
+    """The (norm, step) of every `adaptive_threshold` call the pipeline makes
+    on the three preset records under every method."""
+    calls = []
+
+    def spy(norm, step):
+        calls.append((norm, step))
+        return adaptive_threshold(norm, step)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "adaptive_threshold", spy)
+        for spec in scenario_presets().values():
+            record, _ = generate(spec)
+            for method in METHODS:
+                process_record(record, run=RunConfig(method))
+    return calls
+
+
+class TestAdaptiveThreshold:
+    def test_equals_full_sweep_on_fused_segments(self, threshold_calls):
+        passes = [assert_scan_equals_full_sweep(norm, step) for norm, step in threshold_calls]
+        assert len(threshold_calls) == 36
+        # some scans stop early, so the stop rule is exercised on real images
+        assert any(made < grid for made, grid in passes)
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 1 / 3, 0.013, 0.001])
+    def test_equals_full_sweep_on_plateaus(self, step):
+        rng = np.random.default_rng(int(step * 1000))
+        stopped = 0
+        for _ in range(30 if step == 0.001 else 60):
+            shape = tuple(rng.integers(1, 41, size=2))
+            img = plateau_blobs(rng, shape, levels=int(rng.integers(2, 21)))
+            made, grid = assert_scan_equals_full_sweep(peak_normalize(img), step)
+            stopped += made < grid
+        # a grid of two thresholds is done by its second pass either way
+        assert stopped > 0 or grid == 2
+
+    def test_process_record_equals_full_sweep_on_golden_set(self):
+        # exact floats: the golden digest rounds scores to 9 decimals
+        records = [record for spec in scenario_presets().values()
+                   for record, _ in make_eval_dataset(spec, 3, 7)]
+        runs = [RunConfig(method) for method in METHODS]
+        got = [process_record(record, run=run) for record in records for run in runs]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "adaptive_threshold", full_sweep_adaptive_threshold)
+            want = [process_record(record, run=run) for record in records for run in runs]
+        assert [r.detections for r in got] == [r.detections for r in want]
+        assert [r.chosen_thresholds for r in got] == [r.chosen_thresholds for r in want]

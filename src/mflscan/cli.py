@@ -1,8 +1,7 @@
 """Command-line entry point: generate, detect, evaluate, inspect.
 
 Exit codes: 0 success, 2 usage error (`errors.ConfigInvalid`, or an output
-that cannot be written), 3 input parse error (`errors.FormatError`), 4
-internal invariant violation (`errors.DimensionMismatch`).
+that cannot be written), 3 input parse error (`errors.FormatError`).
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from . import formats
-from .errors import ConfigInvalid, FormatError, MflError
+from .errors import ConfigInvalid, FormatError
 from .evaluate import EvalReport, METHODS, format_report_table, match_detections, run_ablation
 from .ingest import PreprocessConfig, preprocess
 from .pipeline import RunConfig, process_record, segment_stages
@@ -26,7 +25,6 @@ from .synth import GroundTruthFlaw, SynthSpec, generate, scenario_presets
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-EXIT_INTERNAL = 4
 
 CONFIG_SECTIONS = (PreprocessConfig, AdaptiveConfig, RunConfig)
 # every flat `key = value` config key and the section whose field it is
@@ -34,13 +32,20 @@ CONFIG_KEYS = {f.name: cls for cls in CONFIG_SECTIONS for f in dataclasses.field
 
 
 def _typed(cls, values: dict) -> dict:
-    """`values` with each int, float or str field of `cls` converted to its declared type."""
+    """`values` with each int, float or str field of `cls` converted to its declared type.
+
+    A JSON `true` or `false` fits no field, and a float with a fraction is not an int.
+    """
     hints = typing.get_type_hints(cls)
     typed = dict(values)
     for name, value in values.items():
-        if hints.get(name) in (int, float, str):
+        hint = hints.get(name)
+        if hint in (int, float, str):
+            if isinstance(value, bool) or (
+                    hint is int and isinstance(value, float) and not value.is_integer()):
+                raise ValueError(f"{name}: {value!r} is not {hint.__name__}")
             try:
-                typed[name] = hints[name](value)
+                typed[name] = hint(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name}: {exc}") from exc
     return typed
@@ -119,16 +124,16 @@ def _run_record(args):
 
 def cmd_detect(args) -> int:
     record, (preprocess_cfg, adaptive_cfg, run), result = _run_record(args)
-    if args.dump_stages:  # only after a run that succeeded, so a refused run writes nothing
+    out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
+    formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
+    print(f"wrote {out} ({len(result.detections)} detections)")
+    if args.dump_stages:  # only once the detections are written, so a failed run dumps nothing
         dump_dir = Path(args.dump_stages)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for image in preprocess(record, preprocess_cfg):
             for name, stage in segment_stages(image, result.context, adaptive_cfg, run).items():
                 formats.write_pgm(dump_dir / f"seg{image.segment_index}_{name}.pgm", stage,
                                   signed=name.endswith("_raw"))
-    out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
-    formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
-    print(f"wrote {out} ({len(result.detections)} detections)")
     return EXIT_OK
 
 
@@ -261,9 +266,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # each input reader maps its own OSError to FormatError
         print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MflError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
 
 def peak_normalize(image: np.ndarray) -> np.ndarray:
     """The image divided by its peak; all zeros when the peak is not positive."""
@@ -130,9 +128,8 @@ def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float])
         raise ValueError(f"{n} layers do not fit the weights {weights}")
     for fine, coarse in zip(layers, layers[1:]):
         if coarse.shape != (fine.shape[0] // 2, fine.shape[1] // 2):
-            raise DimensionMismatch(
-                f"layer shapes {[f.shape for f in layers]} are not successive halvings"
-            )
+            shapes = [f.shape for f in layers]
+            raise ValueError(f"layer shapes {shapes} are not successive halvings")
     fused = weights[n - 1] * layers[n - 1]
     for j in range(n - 2, -1, -1):
         fused = weights[j] * layers[j] + upsample_bilinear(fused, layers[j].shape)

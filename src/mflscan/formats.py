@@ -26,6 +26,8 @@ NUMBER_RULES = {  # JSON key -> (rule, test) of the keys whose numbers have a ra
 
 def _number(key: str, value) -> float:
     """`value` of JSON key `key` as a finite float within its rule, or a ValueError naming it."""
+    if isinstance(value, bool):  # float(True) is 1.0, but a JSON `true` is not a number
+        raise ValueError(f"{key} must be a number, not {value!r}")
     number = float(value)
     rule, test = NUMBER_RULES.get(key, ("finite", lambda x: True))
     if not (math.isfinite(number) and test(number)):

@@ -75,6 +75,24 @@ class TestGenerate:
         assert code == EXIT_PARSE
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
+    # (key, spec): a JSON `true` or a float with a fraction in a spec; the parser used to
+    # read 16.9 channels as 16, a seed of 3.7 as 3 and a flaw at `true` as one at 1.0 m
+    @pytest.mark.parametrize("key, spec", [
+        ("channel_count", {"channel_count": 16.9}),
+        ("rng_seed", {"rng_seed": 3.7}),
+        ("label", {"label": False}),
+        ("axial_position_m", {"flaws": [{"axial_position_m": True}]}),
+    ])
+    def test_bool_or_fractional_int_is_parse_error(self, key, spec, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"rope_length_m": 4.0, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250, **spec}))
+        code = main(["generate", str(spec_path), "--out", str(tmp_path / "r")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1 and key in err
+        assert not list(tmp_path.glob("*.mfl"))
+
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         code = main(["generate", "warp_ssr", "--out", str(tmp_path / "r")])
         assert code == EXIT_PARSE
@@ -180,6 +198,24 @@ class TestDetect:
         for path in sorted(dump.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == DUMP_DIGESTS[preset]
+
+    def test_unwritable_out_leaves_no_dump(self, optimal_record, tmp_path, capsys):
+        dump = tmp_path / "stages"
+        code = main(["detect", str(optimal_record), "--out", str(tmp_path / "missing" / "x.json"),
+                     "--dump-stages", str(dump)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot write: ") and err.count("\n") == 1
+        assert not dump.exists()
+
+    def test_unwritable_dump_comes_after_the_detections(self, optimal_record, tmp_path, capsys):
+        plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+        assert main(["detect", str(optimal_record), "--out", str(plain)]) == EXIT_OK
+        code = main(["detect", str(optimal_record), "--out", str(dumped),
+                     "--dump-stages", str(plain)])  # a file, not a directory
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: cannot write: ")
+        assert dumped.read_bytes() == plain.read_bytes()
 
     def test_corrupt_record_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfl"
@@ -456,6 +492,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("ablation", [False, True], ids=("det", "ablation"))
     @pytest.mark.parametrize("key, value", [
         ("axial_m", math.nan), ("extent_m", -0.01), ("amplitude", math.inf),
+        ("axial_m", True),  # not a number: it used to be scored as a flaw at 1.0 m
     ])
     def test_out_of_range_truth_number_is_parse_error(self, key, value, ablation,
                                                       optimal_record, tmp_path, capsys):

@@ -12,7 +12,7 @@ from mflscan.enhance import (
     peak_normalize,
     upsample_bilinear,
 )
-from mflscan.errors import ConfigInvalid, DimensionMismatch
+from mflscan.errors import ConfigInvalid
 from mflscan.ssr import AdaptiveConfig
 
 
@@ -345,8 +345,8 @@ class TestFuse:
             values.append(out[20, 20])
         assert np.all(np.diff(values) >= -1e-12)
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+    def test_layers_not_halving_rejected(self):
+        with pytest.raises(ValueError, match="successive halvings"):
             fuse((np.zeros((8, 8)), np.zeros((5, 4)), np.zeros((2, 2))), (1, 0, 0))
 
     def test_result_type(self):

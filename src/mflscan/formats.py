@@ -35,6 +35,14 @@ def _number(key: str, value) -> float:
     return number
 
 
+def _int(key: str, value) -> int:
+    """`value` of JSON key `key` as an int; a number with a fraction is a ValueError naming it."""
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ValueError(f"{key} must be a whole number, not {value!r}")
+    return int(number)
+
+
 def read_text(path: Path) -> str:
     """The text of an input file; one that cannot be read or decoded is a FormatError."""
     try:
@@ -212,10 +220,10 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
         payload = json.loads(read_text(path))
         detections = [
             Detection(
-                box=tuple(int(_number("box", x)) for x in entry["box"]),
+                box=tuple(_int("box", x) for x in entry["box"]),
                 axial_position_m=_number("axial_m", entry["axial_m"]),
                 score=_number("score", entry["score"]),
-                segment_index=int(_number("segment", entry["segment"])),
+                segment_index=_int("segment", entry["segment"]),
                 axial_start_m=_number("axial_interval_m", entry["axial_interval_m"][0]),
                 axial_end_m=_number("axial_interval_m", entry["axial_interval_m"][1]),
             )

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .errors import FormatError
 from .ingest import MflRecord
@@ -112,8 +111,39 @@ def _channel_weights(flaw: GroundTruthFlaw, n_channels: int) -> np.ndarray:
     return np.exp(-0.5 * (dist / spread) ** 2)
 
 
+def _smooth_drift(walk: np.ndarray, sigma: float):
+    """Smooth each column of `walk` in place with a Gaussian clamped at both ends.
+
+    The result equals `scipy.ndimage.gaussian_filter1d(walk, sigma, axis=0,
+    mode="nearest")` to within rounding: the same kernel, exp(-x^2 / 2 sigma^2)
+    normalized over |x| <= int(4 sigma + 0.5). Clamping adds, to each output
+    sample, the first (last) sample times the kernel mass that falls before
+    (after) the record; the rest is a linear convolution of the record with
+    the taps that reach within it, done by FFT one column at a time.
+    """
+    m_count = walk.shape[0]
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * x**2)
+    kernel /= kernel.sum()
+    # tail[k]: the kernel mass at offsets k .. radius, summed from the small end
+    tail = np.append(np.cumsum(kernel[::-1])[::-1][radius:], 0.0)
+    before = tail[np.minimum(np.arange(1, m_count + 1), radius + 1)]
+    after = before[::-1]
+    reach = min(radius, m_count - 1)
+    n_fft = 1 << (m_count + reach - 1).bit_length()  # no wrap-around reaches [0, m_count)
+    taps = np.zeros(n_fft)
+    taps[: reach + 1] = kernel[radius : radius + reach + 1]
+    taps[n_fft - reach :] = kernel[radius - reach : radius]  # negative offsets wrap around
+    spectrum = np.fft.rfft(taps)
+    for c in range(walk.shape[1]):
+        column = walk[:, c]
+        smooth = np.fft.irfft(np.fft.rfft(column, n_fft) * spectrum, n_fft)[:m_count]
+        walk[:, c] = smooth + before * column[0] + after * column[-1]
+
+
 def generate(spec: SynthSpec) -> tuple[MflRecord, list[GroundTruthFlaw]]:
-    """Render a record from the spec. Same spec and seed give identical bits."""
+    """Render a record from the spec. Same spec and seed give identical bits on one machine."""
     f_spatial = spec.sampling_rate_hz / spec.inspection_speed_mps
     m_count = int(np.floor(spec.rope_length_m * f_spatial))
     n = spec.channel_count
@@ -123,7 +153,7 @@ def generate(spec: SynthSpec) -> tuple[MflRecord, list[GroundTruthFlaw]]:
 
     if spec.drift_amplitude > 0:
         walk = np.cumsum(rng.standard_normal((m_count, n)), axis=0)
-        walk = gaussian_filter1d(walk, DRIFT_SMOOTH_SAMPLES, axis=0, mode="nearest")
+        _smooth_drift(walk, DRIFT_SMOOTH_SAMPLES)
         peak = np.abs(walk).max()
         if peak > 0:
             signal += spec.drift_amplitude * walk / peak

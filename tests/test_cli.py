@@ -474,6 +474,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("key, value", [
         ("f_spatial", math.nan), ("f_spatial", -500.0), ("f_spatial", 0.0),
         ("f_spatial", math.inf), ("score", math.nan), ("axial_m", -math.inf),
+        # a fraction in a whole-number key used to be read as box (0, 1, 10, 20) and
+        # segment 1; a bool is no number in any key
+        ("box", [0.5, 1.7, 10.9, 20.2]), ("segment", 1.9), ("segment", True),
     ])
     def test_out_of_range_detections_number_is_parse_error(self, key, value, optimal_record,
                                                            tmp_path, capsys):

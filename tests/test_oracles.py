@@ -7,6 +7,11 @@ formulations live on here only, as oracles. Equality of the `correlate1d`
 and `mean` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
 The threshold scan stops early instead, so its oracle pins the choice and
 the part of the curve it labelled, and the pipeline's detections.
+
+The one tolerance oracle is `gaussian_filter1d(..., mode="nearest")` for the
+generator's drift smoothing: the FFT convolution that replaced it computes the
+same sums in another order, so the two agree to within 1e-13 of the column
+peak, not bit for bit, and records built with either give the same detections.
 """
 
 import math
@@ -14,9 +19,9 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from scipy.ndimage import correlate1d, find_objects, label
+from scipy.ndimage import correlate1d, find_objects, gaussian_filter1d, label
 
-from mflscan import pipeline
+from mflscan import pipeline, synth
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
 from mflscan.ingest import preprocess
 from mflscan.enhance import peak_normalize
@@ -31,7 +36,13 @@ from mflscan.localize import (
 )
 from mflscan.pipeline import METHODS, RunConfig, process_record
 from mflscan.pyramid import _pool2, build_pyramid, build_template, match
-from mflscan.synth import generate, make_eval_dataset, scenario_presets
+from mflscan.synth import (
+    DRIFT_SMOOTH_SAMPLES,
+    _smooth_drift,
+    generate,
+    make_eval_dataset,
+    scenario_presets,
+)
 
 
 def reshape_mean_pool2(img):
@@ -153,6 +164,11 @@ def full_sweep_adaptive_threshold(norm, step):
         region_counts=tuple(counts),
         chosen_threshold=(thresholds[best[1]] + thresholds[best[2]]) / 2.0,
     )
+
+
+def direct_smooth_drift(walk, sigma):
+    """The replaced `_smooth_drift`: scipy's direct Gaussian filter, clamped at both ends."""
+    walk[:] = gaussian_filter1d(walk, sigma, axis=0, mode="nearest")
 
 
 def mixed_magnitudes(rng, shape):
@@ -413,3 +429,46 @@ class TestAdaptiveThreshold:
             want = [process_record(record, run=run) for record in records for run in runs]
         assert [r.detections for r in got] == [r.detections for r in want]
         assert [r.chosen_thresholds for r in got] == [r.chosen_thresholds for r in want]
+
+
+class TestSmoothDrift:
+    # the FFT holds all 2 * 2400 + 1 taps from 2401 samples on, and below 4801
+    # every output sample is clamped at one end or both
+    @pytest.mark.parametrize("m_count", [400, 801, 2401, 4799, 4800, 4801, 10150])
+    @pytest.mark.parametrize("channels", [2, 16])
+    def test_equals_direct_filter_within_rounding(self, m_count, channels):
+        rng = np.random.default_rng(m_count * 100 + channels)
+        walk = np.cumsum(rng.standard_normal((m_count, channels)), axis=0)
+        want = walk.copy()
+        direct_smooth_drift(want, DRIFT_SMOOTH_SAMPLES)
+        _smooth_drift(walk, DRIFT_SMOOTH_SAMPLES)
+        assert np.all(np.abs(walk - want) <= 1e-13 * np.abs(want).max(axis=0))
+
+    @pytest.mark.parametrize("m_count", [400, 801, 4801])
+    def test_constant_column_comes_back(self, m_count):
+        values = np.array([-2.5, 0.0, 1e-3, 7.0, 123456.789])
+        walk = np.tile(values, (m_count, 1))
+        _smooth_drift(walk, DRIFT_SMOOTH_SAMPLES)
+        assert np.all(np.abs(walk - values) <= 1e-13 * np.abs(values))
+
+    def test_process_record_equals_direct_filter_records(self):
+        def records():
+            return [record for spec in scenario_presets().values()
+                    for record, _ in make_eval_dataset(spec, 5, 100)]
+
+        got = records()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_smooth_drift", direct_smooth_drift)
+            want = records()
+        # the two smoothings round differently, so the records are not bit for bit equal
+        assert any(not np.array_equal(a.samples, b.samples) for a, b in zip(got, want))
+        for fast, direct in zip(got, want):
+            for method in METHODS:
+                a = process_record(fast, run=RunConfig(method))
+                b = process_record(direct, run=RunConfig(method))
+                assert [d.box for d in a.detections] == [d.box for d in b.detections]
+                assert ([d.segment_index for d in a.detections]
+                        == [d.segment_index for d in b.detections])
+                assert a.chosen_thresholds == b.chosen_thresholds
+                assert np.allclose([d.score for d in a.detections],
+                                   [d.score for d in b.detections], rtol=0, atol=1e-12)

@@ -43,6 +43,13 @@ def _int(key: str, value) -> int:
     return int(number)
 
 
+def _numbers(key: str, values, count: int, convert) -> tuple:
+    """The `count` entries of JSON key `key`'s list, each through `convert`, or a ValueError."""
+    if not isinstance(values, list) or len(values) != count:
+        raise ValueError(f"{key} must be a list of {count} numbers, not {values!r}")
+    return tuple(convert(key, value) for value in values)
+
+
 def read_text(path: Path) -> str:
     """The text of an input file; one that cannot be read or decoded is a FormatError."""
     try:
@@ -218,17 +225,22 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
     path = Path(path)
     try:
         payload = json.loads(read_text(path))
-        detections = [
-            Detection(
-                box=tuple(_int("box", x) for x in entry["box"]),
+        version = payload["schema_version"]
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {version!r}")
+        detections = []
+        for entry in payload["detections"]:
+            start, end = _numbers("axial_interval_m", entry["axial_interval_m"], 2, _number)
+            if start > end:
+                raise ValueError(f"axial_interval_m must not end before it starts: {[start, end]}")
+            detections.append(Detection(
+                box=_numbers("box", entry["box"], 4, _int),
                 axial_position_m=_number("axial_m", entry["axial_m"]),
                 score=_number("score", entry["score"]),
                 segment_index=_int("segment", entry["segment"]),
-                axial_start_m=_number("axial_interval_m", entry["axial_interval_m"][0]),
-                axial_end_m=_number("axial_interval_m", entry["axial_interval_m"][1]),
-            )
-            for entry in payload["detections"]
-        ]
+                axial_start_m=start,
+                axial_end_m=end,
+            ))
         return _number("f_spatial", payload["f_spatial"]), detections
-    except (ValueError, OverflowError, RecursionError, KeyError, TypeError, IndexError) as exc:
+    except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad detections file: {exc}") from exc

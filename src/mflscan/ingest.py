@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigInvalid
 from .ssr import compute_ssr
@@ -110,6 +109,24 @@ def normalize(y: np.ndarray) -> np.ndarray:
     return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
+def _tridiagonal_solve(rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal rows (1, 4, 1) for `rhs` in LAPACK `gtsv`'s order of operations.
+
+    The rows are diagonally dominant, so `gtsv` never pivots; its `- 0 * x[i + 2]`
+    is left out, since no entry is ever -0.0.
+    """
+    x = rhs.copy()
+    diag = [4.0]
+    for i in range(1, len(x)):
+        fact = 1.0 / diag[-1]
+        diag.append(4.0 - fact)
+        x[i] -= fact * x[i - 1]
+    x[-1] /= diag[-1]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] = (x[i] - x[i + 1]) / diag[i]
+    return x
+
+
 @lru_cache(maxsize=8)
 def interpolate_radial(channels: int, height: int) -> np.ndarray:
     """The channels x `height` matrix that resamples an axial row to `height` radial positions.
@@ -120,13 +137,35 @@ def interpolate_radial(channels: int, height: int) -> np.ndarray:
     evaluated once on the N x N identity: `row @ basis` is the row's spline.
     The basis is built once per (channels, height), for the last 8 such
     pairs, and shared by every caller, so it is returned read-only.
+
+    It does scipy's `CubicSpline(..., bc_type="periodic")` arithmetic step for
+    step, so it equals that basis bit for bit, layout included. The knot slopes
+    solve s[k-1] + 4 s[k] + s[k+1] = 3 (slope[k-1] + slope[k]) cyclically (de Boor
+    1978): N - 1 rows for the data and for the last slope's coefficients, then
+    the last row closes both. (scipy's 3-knot shortcut for 2 channels gives the
+    same zero slopes.)
     """
     if height < channels:
         raise ConfigInvalid(f"image height {height} is below the channel count {channels}")
-    knots = np.arange(channels + 1, dtype=float)
-    wrapped = np.eye(channels)[:, np.arange(channels + 1) % channels]  # periodic identity
-    spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
-    basis = spline(np.arange(height) * (channels / height))
+    n = channels
+    values = np.eye(n)[np.arange(n + 1) % n]  # knot k (row) of each channel's spline (column)
+    slope = np.diff(values, axis=0)
+    rhs = 3 * (np.roll(slope, 1, axis=0) + slope)
+    data = _tridiagonal_solve(rhs[:-1])
+    corner = np.zeros(n - 1)
+    corner[[0, -1]] = -1.0
+    corner = _tridiagonal_solve(corner)
+    last = (rhs[-1] - data[0] - data[-1]) / (4.0 + corner[0] + corner[-1])
+    knot_slopes = np.vstack([data + last * corner[:, None], last])[np.arange(n + 1) % n]
+    # the Hermite cubic on [k, k + 1], summed in the order of PPoly's
+    # c3 + c2 z + c1 z^2 + c0 z^3
+    positions = np.arange(height) * (n / height)
+    k = positions.astype(np.intp)
+    z = (positions - k)[:, None]
+    left, right, step = knot_slopes[k], knot_slopes[k + 1], slope[k]
+    cubic = left + right - 2 * step
+    basis = values[k] + left * z + (step - left - cubic) * (z * z) + cubic * (z * z * z)
+    basis = basis.T  # F-ordered like scipy's: `Segments` adds in an order that follows the layout
     basis.setflags(write=False)
     return basis
 

@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mflscan
 from mflscan import formats
 from mflscan.cli import CONFIG_KEYS, EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
@@ -17,6 +22,19 @@ from mflscan.pipeline import RunConfig, process_record
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    """A fresh process that imports the package and its CLI never loads
+    `scipy.interpolate`, whose import alone took about 0.3 s per command."""
+    code = ("import sys, mflscan, mflscan.cli; "
+            "loaded = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'interpolate']]; "
+            "assert not loaded, loaded")
+    path = [str(Path(mflscan.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestLoadConfig:

@@ -69,11 +69,11 @@ def record_commands(path, rope):
     ]
 
 
-def check_all(cases, capsys):
+def check_all(cases, capsys, expect=(0, 2, 3)):
     failures = []
     for name, argv in cases:
         failures += [f"{name}: {' '.join(map(str, argv[:2]))}: {p}"
-                     for p in run_case(argv, capsys)]
+                     for p in run_case(argv, capsys, expect)]
     assert not failures, "\n".join(failures)
 
 
@@ -167,6 +167,11 @@ def test_bad_truth_and_detections_json(rope, capsys):
         "interval_number": {**det, "detections": [{**hit, "axial_interval_m": 3}]},
         "segment_text": {**det, "detections": [{**hit, "segment": "two"}]},
         "score_null": {**det, "detections": [{**hit, "score": None}]},
+        "box_three": {**det, "detections": [{**hit, "box": hit["box"][:3]}]},
+        "box_five": {**det, "detections": [{**hit, "box": [*hit["box"], 1]}]},
+        "interval_three": {**det, "detections": [{**hit, "axial_interval_m": [0.1, 0.2, 0.3]}]},
+        "interval_inverted": {**det, "detections": [{**hit, "axial_interval_m": [0.3, 0.1]}]},
+        "schema_7": {**det, "schema_version": 7},
     }
     cases = []
     for name, payload in truths.items():
@@ -175,14 +180,16 @@ def test_bad_truth_and_detections_json(rope, capsys):
         cases.append((f"truth {name}", ["evaluate", "--det", rope["det"], "--truth", path]))
         cases.append((f"truth {name}", ["evaluate", "--ablation", "--record", rope["record"],
                                         "--truth", path]))
+    det_cases = []
     for name, payload in dets.items():
         path = rope["root"] / f"det_{name}.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
+        det_cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
     for size in ("0", "-1000"):
         cases.append((f"kernel {size}", ["evaluate", "--det", rope["det"],
                                          "--truth", rope["truth"], "--kernel-size", size]))
     check_all(cases, capsys)
+    check_all(det_cases, capsys, expect=(3,))  # every bad detections file is a parse error
 
 
 def test_hostile_spec_values(rope, capsys):

@@ -142,6 +142,25 @@ class TestGroundTruthJson:
         assert isinstance(flaw.axial_extent_m, float)
 
 
+MISSING = object()
+
+
+def detections_with(tmp_path, field, value):
+    """A one-detection file with `field` set to `value`, or deleted when `value` is MISSING."""
+    path = tmp_path / "dets.json"
+    det = Detection(box=(1, 2, 3, 4), axial_position_m=0.4, score=0.5, segment_index=1,
+                    axial_start_m=0.3, axial_end_m=0.5)
+    formats.write_detections(path, "rec", 500.0, [det])
+    payload = json.loads(path.read_text())
+    holder = payload if field in ("f_spatial", "schema_version") else payload["detections"][0]
+    if value is MISSING:
+        del holder[field]
+    else:
+        holder[field] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestDetectionsJson:
     def test_roundtrip(self, tmp_path):
         dets = [
@@ -170,15 +189,22 @@ class TestDetectionsJson:
         ("box", ["a", 1, 2, 3]), ("axial_interval_m", ["x", 0.4]), ("axial_interval_m", 3),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
-        path = tmp_path / "dets.json"
-        det = Detection(box=(1, 2, 3, 4), axial_position_m=0.4, score=0.5, segment_index=1,
-                        axial_start_m=0.3, axial_end_m=0.5)
-        formats.write_detections(path, "rec", 500.0, [det])
-        payload = json.loads(path.read_text())
-        if field == "f_spatial":
-            payload[field] = value
-        else:
-            payload["detections"][0][field] = value
-        path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="detections"):
-            formats.read_detections(path)
+            formats.read_detections(detections_with(tmp_path, field, value))
+
+    @pytest.mark.parametrize("field, value", [
+        ("box", [1, 2, 3]), ("box", [1, 2, 3, 4, 5]), ("box", [1, 2, 3.5, 4]),
+        ("axial_interval_m", [0.1, 0.2, 0.3]), ("axial_interval_m", [0.3, 0.1]),
+        ("schema_version", 7), ("schema_version", True), ("schema_version", None),
+        ("schema_version", MISSING),
+    ])
+    def test_misshapen_field_rejected_by_name(self, tmp_path, field, value):
+        with pytest.raises(FormatError, match=f"bad detections file: '?{field}"):
+            formats.read_detections(detections_with(tmp_path, field, value))
+
+    def test_empty_interval_accepted(self, tmp_path):
+        det = Detection(box=(1, 2, 3, 3), axial_position_m=0.4, score=0.5, segment_index=1,
+                        axial_start_m=0.4, axial_end_m=0.4)
+        path = tmp_path / "dets.json"
+        formats.write_detections(path, "rec", 500.0, [det])
+        assert formats.read_detections(path) == (500.0, [det])

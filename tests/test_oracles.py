@@ -1,10 +1,12 @@
 """Bitwise oracles: each fast kernel against the formulation it replaced.
 
-The kernels in `pyramid`, `enhance` and `localize` are rewritten for speed
-with the same order of floating-point operations as the code they replaced,
-so their outputs must be equal bit for bit, not merely close. The replaced
-formulations live on here only, as oracles. Equality of the `correlate1d`
-and `mean` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
+The kernels in `pyramid`, `enhance` and `localize`, and the radial spline
+basis in `ingest`, are rewritten with the same order of floating-point
+operations as the code they replaced, so their outputs must be equal bit for
+bit, not merely close. The replaced formulations live on here only, as
+oracles. The basis oracle is scipy's periodic `CubicSpline`, compared byte
+for byte and stride for stride. Equality of the `correlate1d`, `mean` and
+`CubicSpline` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
 The threshold scan stops early instead, so its oracle pins the choice and
 the part of the curve it labelled, and the pipeline's detections.
 
@@ -19,11 +21,12 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.ndimage import correlate1d, find_objects, gaussian_filter1d, label
 
 from mflscan import pipeline, synth
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
-from mflscan.ingest import preprocess
+from mflscan.ingest import interpolate_radial, preprocess
 from mflscan.enhance import peak_normalize
 from mflscan.localize import (
     EIGHT_CONNECTED,
@@ -43,6 +46,14 @@ from mflscan.synth import (
     make_eval_dataset,
     scenario_presets,
 )
+
+
+def cubic_spline_basis(channels, height):
+    """The replaced `interpolate_radial`: scipy's periodic spline of the identity."""
+    knots = np.arange(channels + 1, dtype=float)
+    wrapped = np.eye(channels)[:, np.arange(channels + 1) % channels]  # periodic identity
+    spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
+    return spline(np.arange(height) * (channels / height))
 
 
 def reshape_mean_pool2(img):
@@ -181,6 +192,18 @@ def segment():
     """The first 200 x 200 image of the optimal-SSR preset record."""
     record, _ = generate(scenario_presets()["optimal_ssr"])
     return preprocess(record)[0].pixels
+
+
+class TestRadialBasis:
+    # 2 channels take scipy's 3-knot branch; the heights are the channel count,
+    # one more, an odd one, and three that are not multiples of it
+    @pytest.mark.parametrize("channels", [2, 3, 4, 5, 8, 16, 32])
+    def test_equals_periodic_cubic_spline(self, channels):
+        for height in (channels, channels + 1, 2 * channels + 1, 200, 333, 4096):
+            want = cubic_spline_basis(channels, height)
+            got = interpolate_radial.__wrapped__(channels, height)
+            assert got.tobytes(order="A") == want.tobytes(order="A"), height
+            assert got.strides == want.strides, height
 
 
 class TestPool2:

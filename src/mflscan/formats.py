@@ -50,6 +50,13 @@ def _numbers(key: str, values, count: int, convert) -> tuple:
     return tuple(convert(key, value) for value in values)
 
 
+def _check_version(payload) -> None:
+    """A KeyError or ValueError unless the JSON `payload` has `schema_version` the int 1."""
+    version = payload["schema_version"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {version!r}")
+
+
 def read_text(path: Path) -> str:
     """The text of an input file; one that cannot be read or decoded is a FormatError."""
     try:
@@ -185,6 +192,7 @@ def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
     path = Path(path)
     try:
         payload = json.loads(read_text(path))
+        _check_version(payload)
         return [
             GroundTruthFlaw(
                 axial_position_m=_number("axial_m", entry["axial_m"]),
@@ -225,9 +233,7 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
     path = Path(path)
     try:
         payload = json.loads(read_text(path))
-        version = payload["schema_version"]
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {version!r}")
+        _check_version(payload)
         detections = []
         for entry in payload["detections"]:
             start, end = _numbers("axial_interval_m", entry["axial_interval_m"], 2, _number)

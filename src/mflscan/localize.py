@@ -1,4 +1,8 @@
-"""Adaptive thresholding, binarization, and connected-component localization."""
+"""Adaptive thresholding, binarization, and connected-component localization.
+
+scipy (`scipy.ndimage`'s `label` and `find_objects`) loads on the first
+labelled segment, not on import, so commands that label nothing never load it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import find_objects, label
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
@@ -67,6 +70,8 @@ def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
     """
     if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
+    # imported here, not at module level, so that commands which never label start without scipy
+    from scipy.ndimage import label
     count = int(math.ceil(1.0 / step)) - 1
     grid = [round((i + 1) * step, 12) for i in range(count)]
     # every pixel >= t lies in the window from the first to the last row and
@@ -162,6 +167,7 @@ def extract_components(
     rows = np.flatnonzero(binary.any(axis=1))
     if rows.size == 0:
         return []
+    from scipy.ndimage import find_objects, label  # see adaptive_threshold
     cols = np.flatnonzero(binary.any(axis=0))
     top, left = int(rows[0]), int(cols[0])  # Python ints keep the boxes JSON-writable
     window = np.s_[top:rows[-1] + 1, left:cols[-1] + 1]

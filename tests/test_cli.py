@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,27 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_import_leaves_scipy_interpolate_unloaded():
-    """A fresh process that imports the package and its CLI never loads
-    `scipy.interpolate`, whose import alone took about 0.3 s per command."""
-    code = ("import sys, mflscan, mflscan.cli; "
-            "loaded = [m for m in sys.modules if m.split('.')[:2] == ['scipy', 'interpolate']]; "
-            "assert not loaded, loaded")
+def test_scipy_loads_only_when_a_segment_is_labelled(tmp_path):
+    """A fresh process that imports the package and its CLI, then runs
+    `generate` and `evaluate --det`, loads no scipy module; `detect` in the
+    same process then loads `scipy.ndimage`, so the load is deferred, not
+    dropped. scipy's import alone took about 0.4 s per command."""
+    assert main(["generate", "optimal_ssr", "--out", str(tmp_path / "rope")]) == EXIT_OK
+    assert main(["detect", str(tmp_path / "rope.mfl"),
+                 "--out", str(tmp_path / "rope_dets.json")]) == EXIT_OK
+    code = textwrap.dedent("""
+        import sys, mflscan, mflscan.cli
+        root = sys.argv[1]
+        assert mflscan.cli.main(["generate", "optimal_ssr", "--out", root + "/again"]) == 0
+        assert mflscan.cli.main(["evaluate", "--det", root + "/rope_dets.json",
+                                 "--truth", root + "/rope_truth.json"]) == 0
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert not loaded, loaded
+        assert mflscan.cli.main(["detect", root + "/again.mfl"]) == 0
+        assert "scipy.ndimage" in sys.modules
+    """)
     path = [str(Path(mflscan.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, str(tmp_path)],
                             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -145,17 +145,19 @@ def test_bad_truth_and_detections_json(rope, capsys):
     truth = json.loads(rope["truth"].read_text())
     det = json.loads(rope["det"].read_text())
     flaw, hit = truth["flaws"][0], det["detections"][0]
+    v1 = {"schema_version": 1}  # so each row is refused for its own fault, not the version
     truths = {
         "not_json": "{flaws: [",
         "list": [],
-        "no_flaws": {},
-        "flaws_dict": {"flaws": {"a": 1}},
-        "flaw_text": {"flaws": ["x"]},
-        "axial_text": {"flaws": [{**flaw, "axial_m": "x"}]},
-        "extent_null": {"flaws": [{**flaw, "extent_m": None}]},
-        "amplitude_list": {"flaws": [{**flaw, "amplitude": [1]}]},
-        "huge_int": {"flaws": [{**flaw, "axial_m": 10**400}]},
+        "no_flaws": {**v1},
+        "flaws_dict": {**v1, "flaws": {"a": 1}},
+        "flaw_text": {**v1, "flaws": ["x"]},
+        "axial_text": {**v1, "flaws": [{**flaw, "axial_m": "x"}]},
+        "extent_null": {**v1, "flaws": [{**flaw, "extent_m": None}]},
+        "amplitude_list": {**v1, "flaws": [{**flaw, "amplitude": [1]}]},
+        "huge_int": {**v1, "flaws": [{**flaw, "axial_m": 10**400}]},
         "deep": "[" * 100_000,
+        "schema_7": {**truth, "schema_version": 7},
     }
     dets = {
         "not_json": "[",
@@ -180,16 +182,13 @@ def test_bad_truth_and_detections_json(rope, capsys):
         cases.append((f"truth {name}", ["evaluate", "--det", rope["det"], "--truth", path]))
         cases.append((f"truth {name}", ["evaluate", "--ablation", "--record", rope["record"],
                                         "--truth", path]))
-    det_cases = []
     for name, payload in dets.items():
         path = rope["root"] / f"det_{name}.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        det_cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
-    for size in ("0", "-1000"):
-        cases.append((f"kernel {size}", ["evaluate", "--det", rope["det"],
-                                         "--truth", rope["truth"], "--kernel-size", size]))
-    check_all(cases, capsys)
-    check_all(det_cases, capsys, expect=(3,))  # every bad detections file is a parse error
+        cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
+    check_all(cases, capsys, expect=(3,))  # every bad truth or detections file is a parse error
+    check_all([(f"kernel {size}", ["evaluate", "--det", rope["det"], "--truth", rope["truth"],
+                                   "--kernel-size", size]) for size in ("0", "-1000")], capsys)
 
 
 def test_hostile_spec_values(rope, capsys):

@@ -96,6 +96,9 @@ class TestPgm:
         assert list(path.read_bytes()[-3:]) == [0, 128, 255]
 
 
+MISSING = object()
+
+
 class TestGroundTruthJson:
     def test_roundtrip(self, tmp_path):
         flaws = [
@@ -132,17 +135,27 @@ class TestGroundTruthJson:
         with pytest.raises(FormatError, match="ground-truth"):
             formats.read_ground_truth(path)
 
+    @pytest.mark.parametrize("value", [7, True, None, "1", MISSING])
+    def test_schema_version_must_be_1(self, tmp_path, value):
+        path = tmp_path / "truth.json"
+        formats.write_ground_truth(path, [GroundTruthFlaw(axial_position_m=1.0)])
+        payload = json.loads(path.read_text())
+        if value is MISSING:
+            del payload["schema_version"]
+        else:
+            payload["schema_version"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="bad ground-truth file: '?schema_version"):
+            formats.read_ground_truth(path)
+
     def test_numeric_strings_coerced(self, tmp_path):
         path = tmp_path / "truth.json"
-        path.write_text(json.dumps({"flaws": [
+        path.write_text(json.dumps({"schema_version": 1, "flaws": [
             {"axial_m": "1.5", "extent_m": 2, "amplitude": "0.5"}
         ]}))
         (flaw,) = formats.read_ground_truth(path)
         assert (flaw.axial_position_m, flaw.axial_extent_m, flaw.amplitude) == (1.5, 2.0, 0.5)
         assert isinstance(flaw.axial_extent_m, float)
-
-
-MISSING = object()
 
 
 def detections_with(tmp_path, field, value):

@@ -2,8 +2,10 @@
 
 Records arrive as M axial samples x N channels. Preprocessing turns one record
 into a sequence of fixed-size H x P images (rows radial, columns axial) with
-pixel values in [-1, 1]. The sequence builds each image when it is accessed,
-so no M x H strip of the whole record is ever held.
+pixel values in [-1, 1]. It allocates one M x N array: `detrend` fills it a
+chunk of rows at a time, and `preprocess` maps it to [-1, 1] in place. The
+sequence builds each image from that array when it is accessed, so no M x H
+strip of the whole record is ever held.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigInvalid
 from .ssr import compute_ssr
+
+FINITE_CHECK_SAMPLES = 2**16  # `MflRecord` checks finiteness this many samples at a time
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,9 @@ class MflRecord:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2 or samples.shape[0] < 1 or samples.shape[1] < 2:
             raise ValueError("samples must be an M x N matrix with M >= 1 and N >= 2")
-        if not np.all(np.isfinite(samples)):
+        step = max(1, FINITE_CHECK_SAMPLES // samples.shape[1])  # rows per bool mask
+        if not all(np.isfinite(samples[i : i + step]).all()
+                   for i in range(0, samples.shape[0], step)):
             raise ValueError("samples must be finite")
         compute_ssr(self.sampling_rate_hz, self.inspection_speed_mps)
 
@@ -78,35 +84,71 @@ def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
     The baseline at sample m is the mean over the window [m-La, m+La-1].
     Near the record edges the window is truncated to the available samples
     and the divisor shrinks accordingly.
+
+    The window sums are differences of the record's cumulative sum, which is
+    built a chunk of at most max(P, H*P // N) rows at a time (about one
+    segment image's worth of samples) with its 2*La halo. Each chunk's sum
+    starts from the running sum at its halo start, carried over from the chunk
+    before (a prefix sum in blocks; Blelloch 1990), and adds the samples in
+    the same order as one cumulative sum over the record would. So every
+    value equals the whole-record computation's bit for bit, and the only
+    record-sized array is the M x N result.
     """
     x = record.samples
-    m_count = x.shape[0]
+    m_count, channels = x.shape
     la = cfg.half_span_la
     if m_count < 2 * la:
         raise ConfigInvalid(
             f"record has {m_count} samples, half_span_la = {la} needs at least {2 * la}"
         )
-    csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
-    idx = np.arange(m_count)
-    lo = np.maximum(idx - la, 0)
-    hi = np.minimum(idx + la - 1, m_count - 1)
-    window_sum = csum[hi + 1] - csum[lo]
-    window_len = (hi - lo + 1).astype(float)[:, None]
-    baseline = window_sum / window_len
-    return x - baseline
+    chunk = max(cfg.segment_length, cfg.image_height * cfg.segment_length // channels)
+    out = np.empty((m_count, channels))
+    carry = np.zeros(channels)  # the cumulative sum of x[:halo_start]
+    for start in range(0, m_count, chunk):
+        stop = min(start + chunk, m_count)
+        halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
+        # csum[k] = sum of x[:halo_start + k]; row 0 is the carry
+        csum = np.empty((halo_stop - halo_start + 1, channels))
+        csum[0] = carry
+        csum[1:] = x[halo_start:halo_stop]
+        first = 1 if halo_start == 0 else 0  # the record's own sum starts at x[0]
+        np.cumsum(csum[first:], axis=0, out=csum[first:])
+        idx = np.arange(start, stop)
+        lo = np.maximum(idx - la, 0)
+        hi = np.minimum(idx + la - 1, m_count - 1)
+        rows = out[start:stop]
+        np.subtract(csum[hi + 1 - halo_start], csum[lo - halo_start], out=rows)
+        rows /= (hi - lo + 1).astype(float)[:, None]
+        np.subtract(x[start:stop], rows, out=rows)
+        carry = csum[max(stop - la, 0) - halo_start].copy()
+    return out
 
 
-def normalize(y: np.ndarray) -> np.ndarray:
-    """Affine-map the global [min, max] of the record to [-1, 1].
+def _to_unit_range(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write 2 (y - lo) / (hi - lo) - 1 into `out`, which may be `y`; zeros if hi == lo.
 
-    A flat record (max == min) maps to all zeros.
+    lo and hi are y's global min and max.
     """
-    y = np.asarray(y, dtype=float)
     lo = y.min()
     hi = y.max()
     if hi == lo:
-        return np.zeros_like(y)
-    return 2.0 * (y - lo) / (hi - lo) - 1.0
+        out.fill(0.0)
+        return out
+    np.subtract(y, lo, out=out)
+    out *= 2.0
+    out /= hi - lo
+    out -= 1.0
+    return out
+
+
+def normalize(y: np.ndarray) -> np.ndarray:
+    """Affine-map the global [min, max] of the record to [-1, 1], in a new array.
+
+    A flat record (max == min) maps to all zeros. `preprocess` applies the
+    same map in place instead.
+    """
+    y = np.asarray(y, dtype=float)
+    return _to_unit_range(y, np.empty_like(y))
 
 
 def _tridiagonal_solve(rhs: np.ndarray) -> np.ndarray:
@@ -208,9 +250,12 @@ class Segments(Sequence):
 def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:
     """Full preprocessing chain: detrend -> normalize -> radial basis -> segments.
 
-    Detrending and normalizing run on the whole record; each segment is
-    resampled only when it is accessed.
+    `detrend` returns the one M x N array that preprocessing allocates, and
+    `normalize`'s map to [-1, 1] is applied to it in place, so the images
+    equal those of `Segments(normalize(detrend(record, cfg)), ...)` bit for
+    bit. Each segment is resampled only when it is accessed.
     """
-    norm = normalize(detrend(record, cfg))
+    rows = detrend(record, cfg)
+    _to_unit_range(rows, out=rows)
     basis = interpolate_radial(record.channel_count, cfg.image_height)
-    return Segments(norm, basis, cfg.segment_length)
+    return Segments(rows, basis, cfg.segment_length)

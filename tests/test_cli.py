@@ -17,7 +17,7 @@ import mflscan
 from mflscan import formats
 from mflscan.cli import CONFIG_KEYS, EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
-from mflscan.ingest import MflRecord
+from mflscan.ingest import FINITE_CHECK_SAMPLES, MflRecord
 from mflscan.pipeline import RunConfig, process_record
 
 
@@ -261,6 +261,19 @@ class TestDetect:
             bad.write_bytes(b"MFL1" + header + bytes(8 * 400 * 16))
             assert main(["detect", str(bad)]) == EXIT_PARSE
             assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_in_last_check_chunk_parse_error(self, tmp_path, capsys, bad):
+        # MflRecord checks finiteness a chunk of rows at a time; the bad
+        # value sits in the last row of a record that spans several chunks
+        rows, channels = 3 * FINITE_CHECK_SAMPLES // 16 + 5, 16
+        samples = np.zeros((rows, channels))
+        samples[-1, -1] = bad
+        path = tmp_path / "late.mfl"
+        path.write_bytes(b"MFL1" + struct.pack("<IIdd", rows, channels, 250.0, 0.5)
+                         + samples.astype("<f8").tobytes())
+        assert main(["detect", str(path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {path}: samples must be finite\n"
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,11 @@
 """Bitwise oracles: each fast kernel against the formulation it replaced.
 
 The kernels in `pyramid`, `enhance` and `localize`, and the radial spline
-basis in `ingest`, are rewritten with the same order of floating-point
-operations as the code they replaced, so their outputs must be equal bit for
-bit, not merely close. The replaced formulations live on here only, as
-oracles. The basis oracle is scipy's periodic `CubicSpline`, compared byte
-for byte and stride for stride. Equality of the `correlate1d`, `mean` and
+basis and the chunked detrend in `ingest`, are rewritten with the same order
+of floating-point operations as the code they replaced, so their outputs must
+be equal bit for bit, not merely close. The replaced formulations live on here
+only, as oracles. The basis oracle is scipy's periodic `CubicSpline`, compared
+byte for byte and stride for stride. Equality of the `correlate1d`, `mean` and
 `CubicSpline` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
 The threshold scan stops early instead, so its oracle pins the choice and
 the part of the curve it labelled, and the pipeline's detections.
@@ -26,7 +26,15 @@ from scipy.ndimage import correlate1d, find_objects, gaussian_filter1d, label
 
 from mflscan import pipeline, synth
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
-from mflscan.ingest import interpolate_radial, preprocess
+from mflscan.ingest import (
+    MflRecord,
+    PreprocessConfig,
+    Segments,
+    detrend,
+    interpolate_radial,
+    normalize,
+    preprocess,
+)
 from mflscan.enhance import peak_normalize
 from mflscan.localize import (
     EIGHT_CONNECTED,
@@ -54,6 +62,37 @@ def cubic_spline_basis(channels, height):
     wrapped = np.eye(channels)[:, np.arange(channels + 1) % channels]  # periodic identity
     spline = CubicSpline(knots, wrapped, axis=1, bc_type="periodic")
     return spline(np.arange(height) * (channels / height))
+
+
+def whole_record_detrend(record, cfg):
+    """`detrend` as one cumulative sum over the whole record and whole-record gathers."""
+    x = record.samples
+    m_count = x.shape[0]
+    la = cfg.half_span_la
+    csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x, axis=0)])
+    idx = np.arange(m_count)
+    lo = np.maximum(idx - la, 0)
+    hi = np.minimum(idx + la - 1, m_count - 1)
+    window_sum = csum[hi + 1] - csum[lo]
+    window_len = (hi - lo + 1).astype(float)[:, None]
+    baseline = window_sum / window_len
+    return x - baseline
+
+
+def new_array_normalize(y):
+    """`normalize` as one expression, which makes a new array at each step."""
+    lo = y.min()
+    hi = y.max()
+    if hi == lo:
+        return np.zeros_like(y)
+    return 2.0 * (y - lo) / (hi - lo) - 1.0
+
+
+def whole_record_preprocess(record, cfg):
+    """`preprocess` as normalize(detrend(...)) on new arrays, then `Segments`."""
+    norm = new_array_normalize(whole_record_detrend(record, cfg))
+    return Segments(norm, interpolate_radial(record.channel_count, cfg.image_height),
+                    cfg.segment_length)
 
 
 def reshape_mean_pool2(img):
@@ -495,3 +534,90 @@ class TestSmoothDrift:
                 assert a.chosen_thresholds == b.chosen_thresholds
                 assert np.allclose([d.score for d in a.detections],
                                    [d.score for d in b.detections], rtol=0, atol=1e-12)
+
+
+def chunk_rows(cfg, channels):
+    """Rows per `detrend` chunk: about one H x P segment image's worth of samples."""
+    return max(cfg.segment_length, cfg.image_height * cfg.segment_length // channels)
+
+
+SMALL = PreprocessConfig(half_span_la=30, image_height=23, segment_length=61)
+TALL = PreprocessConfig(image_height=199, segment_length=133)
+
+
+class TestChunkedDetrend:
+    # (channels, cfg) -> chunk rows: 16 x default 2500, 7 x SMALL 200,
+    # 2 x SMALL 701, 16 x LONG_HALO 20 (below La 50)
+    LONG_HALO = PreprocessConfig(half_span_la=50, image_height=16, segment_length=20)
+
+    @staticmethod
+    def assert_same_bits(samples, cfg):
+        record = MflRecord(samples, 250.0, 0.5)
+        got = detrend(record, cfg)
+        want = whole_record_detrend(record, cfg)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # -0.0 included
+
+    @staticmethod
+    def walk(m_count, channels):
+        samples = np.cumsum(np.random.default_rng(m_count * 31 + channels)
+                            .normal(size=(m_count, channels)), axis=0)
+        samples[0, 0] = -0.0  # the whole-record sum keeps its sign
+        return samples
+
+    @pytest.mark.parametrize("channels, cfg", [(16, PreprocessConfig()), (7, SMALL), (2, SMALL)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_record_one_chunk_either_side(self, channels, cfg, offset):
+        self.assert_same_bits(self.walk(chunk_rows(cfg, channels) + offset, channels), cfg)
+
+    @pytest.mark.parametrize("channels, cfg", [
+        (16, PreprocessConfig()), (7, SMALL), (2, SMALL), (16, LONG_HALO)])
+    def test_record_of_two_half_spans(self, channels, cfg):
+        self.assert_same_bits(self.walk(2 * cfg.half_span_la, channels), cfg)
+
+    @pytest.mark.parametrize("channels, cfg, m_count", [
+        (16, PreprocessConfig(), 13 * 200 + 37),  # crosses a chunk, then a tail
+        (7, SMALL, 11 * 61 + 5),
+        (2, SMALL, 12 * 61 + 60),
+        (16, TALL, 20 * 133 + 1),
+    ])
+    def test_segments_plus_a_tail(self, channels, cfg, m_count):
+        assert m_count > chunk_rows(cfg, channels)
+        self.assert_same_bits(self.walk(m_count, channels), cfg)
+
+    @pytest.mark.parametrize("m_count", [100, 257, 1000])
+    def test_half_span_longer_than_a_chunk(self, m_count):
+        cfg = self.LONG_HALO
+        assert cfg.half_span_la > chunk_rows(cfg, 16)
+        self.assert_same_bits(self.walk(m_count, 16), cfg)
+
+    @pytest.mark.parametrize("channels", [2, 7, 16])
+    def test_channel_counts_over_many_chunks(self, channels):
+        cfg = SMALL
+        self.assert_same_bits(self.walk(5 * chunk_rows(cfg, channels) + 3, channels), cfg)
+
+    @pytest.mark.parametrize("channels", [2, 16])
+    def test_signed_zero_first_sample(self, channels):
+        # at La 1 the first window sum is x[0] alone, so the sum must start
+        # at x[0] itself: 0.0 + -0.0 is 0.0
+        self.assert_same_bits(self.walk(3 * chunk_rows(SMALL, channels) + 1, channels),
+                              PreprocessConfig(half_span_la=1, image_height=23,
+                                               segment_length=61))
+
+    @pytest.mark.parametrize("shape", [(61, 7), (2501, 16), (1, 2)])
+    def test_normalize_equals_one_expression(self, shape):
+        y = mixed_magnitudes(np.random.default_rng(shape[0]), shape)
+        for values in (y, np.full(shape, 3.0)):
+            assert normalize(values).tobytes() == new_array_normalize(values).tobytes()
+
+    @pytest.mark.parametrize("cfg", [PreprocessConfig(), SMALL, TALL])
+    def test_preprocess_equals_whole_record_chain_on_golden_set(self, cfg):
+        records = [record for spec in scenario_presets().values()
+                   for record, _ in make_eval_dataset(spec, 3, 7)]
+        for record in records:
+            got, want = preprocess(record, cfg), whole_record_preprocess(record, cfg)
+            assert len(got) == len(want) > 0
+            for image, reference in zip(got, want):
+                assert image.pixels.tobytes() == reference.pixels.tobytes()
+                assert (image.segment_index, image.origin_sample) == (
+                    reference.segment_index, reference.origin_sample)

@@ -211,6 +211,28 @@ def test_record_memory_is_record_sized_plus_one_segment():
     assert peak <= 8 * record.samples.nbytes + 4 * 2**20
 
 
+def test_record_memory_grows_by_one_record_not_four():
+    # preprocessing allocates one M x N array and chunk-sized temporaries, so
+    # from 50 to 400 segments the traced peak grows by the record's bytes
+    # alone; a whole-record cumulative sum and normalize grew it by 4 x
+    preset = scenario_presets()["high_ssr"]
+    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    above_record = []
+    for segments in (50, 400):
+        record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
+        assert record.sample_count // 200 == segments
+        if not above_record:
+            process_record(record)  # warm-up
+        tracemalloc.start()
+        try:
+            process_record(record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        above_record.append(peak - record.samples.nbytes)
+    assert above_record[1] - above_record[0] <= 2**20
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc heap thresholds")
 def test_streamed_segments_keep_their_heap(optimal):
     # each segment frees a working set of about 2.4 MB; returned to the OS,

@@ -1,6 +1,6 @@
 """Local flaw detection in steel wire ropes from multi-channel MFL records.
 
-The pipeline preprocesses raw records into normalized image segments, matches
+The pipeline preprocesses raw records into detrended image segments, matches
 a flaw-shaped template across a three-layer image pyramid with an SSR-adaptive
 kernel, fuses the per-layer responses with SSR-driven weights, and localizes
 flaws by stability-based thresholding and connected components.

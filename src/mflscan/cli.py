@@ -132,8 +132,7 @@ def cmd_detect(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
         for image in preprocess(record, preprocess_cfg):
             for name, stage in segment_stages(image, result.context, adaptive_cfg, run).items():
-                formats.write_pgm(dump_dir / f"seg{image.segment_index}_{name}.pgm", stage,
-                                  signed=name.endswith("_raw"))
+                formats.write_pgm(dump_dir / f"seg{image.segment_index}_{name}.pgm", stage)
     return EXIT_OK
 
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from array import array
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
-from .ingest import MflRecord
+from .ingest import MflRecord, normalize
 from .localize import Detection
 from .synth import GroundTruthFlaw
 
@@ -120,7 +121,7 @@ def read_record_csv(path: Path | str) -> MflRecord:
             n = int(meta["channels"])
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}:1: bad header: {exc}") from exc
-        rows = []
+        samples = array("d")  # grows in place: the samples are held once
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -131,13 +132,13 @@ def read_record_csv(path: Path | str) -> MflRecord:
                     f"{path}:{lineno}: expected {n} values, found {len(values)}"
                 )
             try:
-                rows.append([float(v) for v in values])
+                samples.extend(map(float, values))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+    if not samples:
         raise FormatError(f"{path}: no sample rows")
     try:
-        return MflRecord(np.array(rows), fs, v, label=path.stem)
+        return MflRecord(np.frombuffer(samples).reshape(-1, n), fs, v, label=path.stem)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -155,16 +156,10 @@ def read_record(path: Path | str) -> MflRecord:
     return read_record_csv(path)
 
 
-def write_pgm(path: Path | str, image: np.ndarray, *, signed: bool):
-    """8-bit binary PGM. Signed images map [-1,1] to [0,255]; unsigned images
-    are min-max scaled for display."""
-    image = np.asarray(image, dtype=float)
-    if signed:
-        scaled = (image + 1.0) / 2.0
-    else:
-        lo, hi = image.min(), image.max()
-        scaled = (image - lo) / (hi - lo) if hi > lo else np.zeros_like(image)
-    pixels = np.clip(np.round(255.0 * scaled), 0, 255).astype(np.uint8)
+def write_pgm(path: Path | str, image: np.ndarray):
+    """8-bit binary PGM: `normalize` maps the image's [min, max] to [0, 255]
+    (a flat image to 128)."""
+    pixels = np.round(127.5 * (normalize(image) + 1.0)).astype(np.uint8)
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

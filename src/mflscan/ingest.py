@@ -1,11 +1,10 @@
-"""Raw record preprocessing: detrend, normalize, radial interpolation, segmentation.
+"""Raw record preprocessing: detrend, radial interpolation, segmentation.
 
 Records arrive as M axial samples x N channels. Preprocessing turns one record
-into a sequence of fixed-size H x P images (rows radial, columns axial) with
-pixel values in [-1, 1]. It allocates one M x N array: `detrend` fills it a
-chunk of rows at a time, and `preprocess` maps it to [-1, 1] in place. The
-sequence builds each image from that array when it is accessed, so no M x H
-strip of the whole record is ever held.
+into a sequence of fixed-size H x P images (rows radial, columns axial) in the
+record's detrended units. The sequence detrends and resamples each image's
+window of samples when it is accessed, so it holds no array of the record's
+size beside the record itself.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ class MflRecord:
 
 @dataclass(frozen=True)
 class MflImage:
-    """One H x P image segment (rows radial, columns axial) in [-1, 1]."""
+    """One H x P image segment (rows radial, columns axial) in detrended units."""
 
     pixels: np.ndarray
     segment_index: int
@@ -78,77 +77,69 @@ class PreprocessConfig:
                 raise ConfigInvalid(f"{name} must lie in [1, 2**32 - 1]")
 
 
+def _require(m_count: int, name: str, value: int, needed: int):
+    """A ConfigInvalid naming setting `name` unless the record's M reaches `needed`."""
+    if m_count < needed:
+        raise ConfigInvalid(
+            f"record has {m_count} samples, {name} = {value} needs at least {needed}"
+        )
+
+
+def _detrend_window(x: np.ndarray, la: int, start: int, stop: int, carry: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """Detrend rows [start, stop) of `x` into `out`; return the next window's carry.
+
+    `carry` is the cumulative sum of x[:max(start - La, 0)], the window's halo
+    start. The window sums are differences of the cumulative sum over the rows
+    plus their 2*La halo, which starts from the carry (a prefix sum in blocks;
+    Blelloch 1990) and adds the samples in the same order as one cumulative sum
+    over the record would, so every value equals the whole-record computation's
+    bit for bit. The returned carry is the sum at max(stop - La, 0), the halo
+    start of the window that begins at `stop`.
+    """
+    m_count, channels = x.shape
+    halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
+    # csum[k] = sum of x[:halo_start + k]; row 0 is the carry
+    csum = np.empty((halo_stop - halo_start + 1, channels))
+    csum[0] = carry
+    csum[1:] = x[halo_start:halo_stop]
+    first = 1 if halo_start == 0 else 0  # the record's own sum starts at x[0]
+    np.cumsum(csum[first:], axis=0, out=csum[first:])
+    idx = np.arange(start, stop)
+    lo = np.maximum(idx - la, 0)
+    hi = np.minimum(idx + la - 1, m_count - 1)
+    np.subtract(csum[hi + 1 - halo_start], csum[lo - halo_start], out=out)
+    out /= (hi - lo + 1).astype(float)[:, None]
+    np.subtract(x[start:stop], out, out=out)
+    return csum[max(stop - la, 0) - halo_start].copy()
+
+
 def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
-    """Subtract a centered moving-average baseline from every channel.
+    """Subtract a centered moving-average baseline from every channel, as a new M x N array.
 
     The baseline at sample m is the mean over the window [m-La, m+La-1].
     Near the record edges the window is truncated to the available samples
-    and the divisor shrinks accordingly.
-
-    The window sums are differences of the record's cumulative sum, which is
-    built a chunk of at most max(P, H*P // N) rows at a time (about one
-    segment image's worth of samples) with its 2*La halo. Each chunk's sum
-    starts from the running sum at its halo start, carried over from the chunk
-    before (a prefix sum in blocks; Blelloch 1990), and adds the samples in
-    the same order as one cumulative sum over the record would. So every
-    value equals the whole-record computation's bit for bit, and the only
-    record-sized array is the M x N result.
+    and the divisor shrinks accordingly. This is the whole record as one
+    window of the kernel that `Segments` runs one image at a time.
     """
     x = record.samples
-    m_count, channels = x.shape
-    la = cfg.half_span_la
-    if m_count < 2 * la:
-        raise ConfigInvalid(
-            f"record has {m_count} samples, half_span_la = {la} needs at least {2 * la}"
-        )
-    chunk = max(cfg.segment_length, cfg.image_height * cfg.segment_length // channels)
-    out = np.empty((m_count, channels))
-    carry = np.zeros(channels)  # the cumulative sum of x[:halo_start]
-    for start in range(0, m_count, chunk):
-        stop = min(start + chunk, m_count)
-        halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
-        # csum[k] = sum of x[:halo_start + k]; row 0 is the carry
-        csum = np.empty((halo_stop - halo_start + 1, channels))
-        csum[0] = carry
-        csum[1:] = x[halo_start:halo_stop]
-        first = 1 if halo_start == 0 else 0  # the record's own sum starts at x[0]
-        np.cumsum(csum[first:], axis=0, out=csum[first:])
-        idx = np.arange(start, stop)
-        lo = np.maximum(idx - la, 0)
-        hi = np.minimum(idx + la - 1, m_count - 1)
-        rows = out[start:stop]
-        np.subtract(csum[hi + 1 - halo_start], csum[lo - halo_start], out=rows)
-        rows /= (hi - lo + 1).astype(float)[:, None]
-        np.subtract(x[start:stop], rows, out=rows)
-        carry = csum[max(stop - la, 0) - halo_start].copy()
-    return out
-
-
-def _to_unit_range(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write 2 (y - lo) / (hi - lo) - 1 into `out`, which may be `y`; zeros if hi == lo.
-
-    lo and hi are y's global min and max.
-    """
-    lo = y.min()
-    hi = y.max()
-    if hi == lo:
-        out.fill(0.0)
-        return out
-    np.subtract(y, lo, out=out)
-    out *= 2.0
-    out /= hi - lo
-    out -= 1.0
+    _require(x.shape[0], "half_span_la", cfg.half_span_la, 2 * cfg.half_span_la)
+    out = np.empty(x.shape)
+    _detrend_window(x, cfg.half_span_la, 0, x.shape[0], np.zeros(x.shape[1]), out)
     return out
 
 
 def normalize(y: np.ndarray) -> np.ndarray:
-    """Affine-map the global [min, max] of the record to [-1, 1], in a new array.
+    """Affine-map the global [min, max] of `y` to [-1, 1], in a new array.
 
-    A flat record (max == min) maps to all zeros. `preprocess` applies the
-    same map in place instead.
+    A flat input (max == min) maps to all zeros. `formats.write_pgm` maps
+    every stage image through it.
     """
     y = np.asarray(y, dtype=float)
-    return _to_unit_range(y, np.empty_like(y))
+    lo, hi = y.min(), y.max()
+    if hi == lo:
+        return np.zeros_like(y)
+    return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
 def _tridiagonal_solve(rhs: np.ndarray) -> np.ndarray:
@@ -213,49 +204,59 @@ def interpolate_radial(channels: int, height: int) -> np.ndarray:
 
 
 class Segments(Sequence):
-    """The floor(M/P) images of a normalized M x N record, each built when accessed.
+    """The floor(M/P) images of a detrended M x N record, each built when accessed.
 
-    Image i (segment_index i + 1) holds samples [i*P, (i+1)*P), resampled by
-    the radial basis, in image orientation (H rows radial, P columns axial)
-    and clamped to [-1, 1]. A trailing remainder shorter than P is dropped and
-    never resampled. Only the record and the basis are held, so memory is
-    the record's plus the images the caller keeps.
+    Image i (segment_index i + 1) holds samples [i*P, (i+1)*P), detrended
+    with their 2*La halo and resampled by the radial basis, in image
+    orientation (H rows radial, P columns axial). A trailing remainder
+    shorter than P is dropped and never resampled. Only the record, the basis
+    and one carry per image are held, so memory is the record's plus the
+    images the caller keeps. Each window yields the next one's carry, so any
+    read order gives the bytes of an in-order read.
     """
 
-    def __init__(self, normalized: np.ndarray, basis: np.ndarray, length: int):
-        m_count = normalized.shape[0]
-        if m_count < length:
-            raise ConfigInvalid(
-                f"record has {m_count} samples, segment_length = {length} needs at least {length}"
-            )
-        self._rows, self._basis, self._length = normalized, basis, length
+    def __init__(self, samples: np.ndarray, basis: np.ndarray, cfg: PreprocessConfig):
+        length = cfg.segment_length
+        _require(samples.shape[0], "segment_length", length, length)
+        self._samples, self._basis, self._length = samples, basis, length
+        self._la = cfg.half_span_la
+        self._carries = [np.zeros(samples.shape[1])]  # carry i opens image i's window
 
     def __len__(self) -> int:
-        return self._rows.shape[0] // self._length
+        return self._samples.shape[0] // self._length
+
+    def _detrended(self, i: int) -> np.ndarray:
+        """Rows [i*P, (i+1)*P) of the detrended record; keeps carry i + 1."""
+        start = i * self._length
+        rows = np.empty((self._length, self._samples.shape[1]))
+        carry = _detrend_window(self._samples, self._la, start, start + self._length,
+                                self._carries[i], rows)
+        if len(self._carries) == i + 1:
+            self._carries.append(carry)
+        return rows
 
     def __getitem__(self, i: int) -> MflImage:
         count = len(self)
         if not -count <= i < count:
             raise IndexError(f"segment {i} of {count}")
         i %= count
-        start = i * self._length
+        while len(self._carries) <= i:
+            self._detrended(len(self._carries) - 1)
         # einsum runs on this thread; `@` would hand this size to the threaded
         # BLAS, whose idle worker keeps spinning on a core after the call
-        pixels = np.einsum("pn,nh->hp", self._rows[start : start + self._length], self._basis,
-                           order="C")
-        np.clip(pixels, -1.0, 1.0, out=pixels)
-        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start)
+        pixels = np.einsum("pn,nh->hp", self._detrended(i), self._basis, order="C")
+        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=i * self._length)
 
 
 def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:
-    """Full preprocessing chain: detrend -> normalize -> radial basis -> segments.
+    """Full preprocessing chain: detrend -> radial basis -> segments, in detrended units.
 
-    `detrend` returns the one M x N array that preprocessing allocates, and
-    `normalize`'s map to [-1, 1] is applied to it in place, so the images
-    equal those of `Segments(normalize(detrend(record, cfg)), ...)` bit for
-    bit. Each segment is resampled only when it is accessed.
+    Nothing is mapped to a fixed range or clipped: every later stage ignores a
+    record-wide gain and offset. Each segment is detrended and resampled only
+    when it is accessed, so the images equal those of
+    `einsum(detrend(record, cfg)[i*P:(i+1)*P], basis)` bit for bit and no
+    array of the record's size is allocated.
     """
-    rows = detrend(record, cfg)
-    _to_unit_range(rows, out=rows)
+    _require(record.sample_count, "half_span_la", cfg.half_span_la, 2 * cfg.half_span_la)
     basis = interpolate_radial(record.channel_count, cfg.image_height)
-    return Segments(rows, basis, cfg.segment_length)
+    return Segments(record.samples, basis, cfg)

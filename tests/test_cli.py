@@ -140,9 +140,9 @@ class TestGenerate:
 # sha256 over the name and bytes of every PGM, in name order, that
 # `detect --dump-stages` writes for `generate <preset> --seed 11`
 DUMP_DIGESTS = {
-    "high_ssr": "d6b1925f80bcf6df9f89b1408187838e937b3153c20e92ad6717bf74565533ef",
-    "low_ssr": "b80d1c7c96ecf0b26775fea97ae92cea1dae39144c9b3dc5864773244c711d6a",
-    "optimal_ssr": "29f4ceea2b16ae200541abc7a68e6846f82586091d2e06e7938fc75d39ab3362",
+    "high_ssr": "7f50f4348ffdace80fde881f3de5f2358f3a0761ce094cddb0b0f93b8caab77f",
+    "low_ssr": "78a240240123540790c73ec8e4049dcfa302da04cd9a76dd7580b316ff61e701",
+    "optimal_ssr": "452639936d1fe92d0b0263e33806020f7380bcd15567067657893d50885aaf4a",
 }
 
 

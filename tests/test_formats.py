@@ -1,6 +1,8 @@
 """Record, ground-truth, detection, and PGM file formats."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from mflscan import formats
 from mflscan.errors import FormatError
 from mflscan.ingest import MflRecord
 from mflscan.localize import Detection
-from mflscan.synth import GroundTruthFlaw
+from mflscan.synth import GroundTruthFlaw, generate, scenario_presets
 
 
 @pytest.fixture
@@ -73,6 +75,23 @@ class TestCsvRecord:
         with pytest.raises(FormatError, match=":3"):
             formats.read_record_csv(path)
 
+    def test_reading_holds_the_samples_once(self, tmp_path):
+        # the 50-segment high_ssr rope with a 150-sample tail, 1.24 MiB of samples
+        preset = scenario_presets()["high_ssr"]
+        f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+        rope, _ = generate(replace(preset, rope_length_m=(50 * 200 + 150.5) / f_spatial))
+        csv_path, bin_path = tmp_path / "rope.csv", tmp_path / "rope.mfl"
+        formats.write_record_csv(csv_path, rope)
+        formats.write_record_binary(bin_path, rope)
+        tracemalloc.start()
+        try:
+            back = formats.read_record_csv(csv_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * rope.samples.nbytes
+        assert back.samples.tobytes() == formats.read_record_binary(bin_path).samples.tobytes()
+
     def test_dispatch_on_magic(self, tmp_path, record):
         bin_path = tmp_path / "rec.mfl"
         csv_path = tmp_path / "rec.csv"
@@ -83,17 +102,17 @@ class TestCsvRecord:
 
 
 class TestPgm:
-    def test_signed_mapping(self, tmp_path):
+    def test_unsigned_min_max_scaling(self, tmp_path):
         path = tmp_path / "img.pgm"
-        formats.write_pgm(path, np.array([[-1.0, 0.0, 1.0]]), signed=True)
+        formats.write_pgm(path, np.array([[0.0, 2.0, 4.0]]))
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n3 1\n255\n")
         assert list(raw[-3:]) == [0, 128, 255]
 
-    def test_unsigned_min_max_scaling(self, tmp_path):
+    def test_flat_image_is_mid_grey(self, tmp_path):
         path = tmp_path / "img.pgm"
-        formats.write_pgm(path, np.array([[0.0, 2.0, 4.0]]), signed=False)
-        assert list(path.read_bytes()[-3:]) == [0, 128, 255]
+        formats.write_pgm(path, np.full((2, 3), -7.5))
+        assert list(path.read_bytes()[-6:]) == [128] * 6
 
 
 MISSING = object()

@@ -43,10 +43,8 @@ def resample(data, height):
 def naive_preprocess(record, cfg=PreprocessConfig()):
     """Reference for `preprocess`: the whole M x H strip, then a transposed copy
     of each segment."""
-    norm = normalize(detrend(record, cfg))
-    strip = np.einsum("mn,nh->mh", norm, interpolate_radial(record.channel_count,
-                                                            cfg.image_height))
-    np.clip(strip, -1.0, 1.0, out=strip)
+    strip = np.einsum("mn,nh->mh", detrend(record, cfg),
+                      interpolate_radial(record.channel_count, cfg.image_height))
     p = cfg.segment_length
     return [
         MflImage(pixels=strip[i * p : (i + 1) * p].T.copy(), segment_index=i + 1,
@@ -231,9 +229,8 @@ class TestInterpolateRadial:
     def test_shared_basis_leaves_segment_pixels_unchanged(self):
         record, _ = make_eval_dataset(scenario_presets()["high_ssr"], 1, 3)[0]
         cfg = PreprocessConfig()
-        norm = normalize(detrend(record, cfg))
         fresh = interpolate_radial.__wrapped__(record.channel_count, cfg.image_height)
-        want = Segments(norm, fresh, cfg.segment_length)
+        want = Segments(record.samples, fresh, cfg)
         for _ in range(2):  # the second pass reads the basis the first one used
             got = preprocess(record, cfg)
             assert len(got) == len(want)
@@ -241,12 +238,19 @@ class TestInterpolateRadial:
                 assert np.array_equal(a.pixels, b.pixels)
 
 
+def cut(samples, length, la=50):
+    """`Segments` of `samples` over the identity basis, and the detrended samples."""
+    cfg = PreprocessConfig(half_span_la=la, segment_length=length)
+    return (Segments(samples, np.eye(samples.shape[1]), cfg),
+            detrend(make_record(samples), cfg))
+
+
 class TestSegment:
-    """`Segments` over the identity basis is the transposed record, cut in P."""
+    """`Segments` over the identity basis is the transposed detrended record, cut in P."""
 
     def test_five_segments_with_origins(self):
         f = np.linspace(-1, 1, 1000 * 8).reshape(1000, 8)
-        images = Segments(f, np.eye(8), 200)
+        images, _ = cut(f, 200)
         assert len(images) == 5
         for i, img in enumerate(images):
             assert img.segment_index == i + 1
@@ -255,29 +259,29 @@ class TestSegment:
 
     def test_single_segment_is_transpose(self):
         f = np.linspace(-1, 1, 200 * 4).reshape(200, 4)
-        images = Segments(f, np.eye(4), 200)
+        images, detrended = cut(f, 200)
         assert len(images) == 1
-        assert np.array_equal(images[0].pixels, f.T)
+        assert np.array_equal(images[0].pixels, detrended.T)
         assert images[0].pixels.flags.c_contiguous
 
     def test_trailing_remainder_dropped(self):
         f = np.zeros((399, 4))
-        assert len(Segments(f, np.eye(4), 200)) == 1
+        assert len(cut(f, 200)[0]) == 1
 
     def test_record_shorter_than_segment_rejected(self):
         with pytest.raises(ConfigInvalid, match="segment_length = 200"):
-            Segments(np.zeros((150, 4)), np.eye(4), 200)
+            cut(np.zeros((150, 4)), 200)
 
     def test_segments_partition_exactly(self):
         rng = np.random.default_rng(9)
         f = rng.uniform(-1, 1, size=(650, 6))
-        images = Segments(f, np.eye(6), 200)
+        images, detrended = cut(f, 200)
         rebuilt = np.concatenate([img.pixels.T for img in images], axis=0)
-        assert np.array_equal(rebuilt, f[:600])
+        assert np.array_equal(rebuilt, detrended[:600])
 
     def test_sequence_protocol(self):
         rng = np.random.default_rng(13)
-        images = Segments(rng.uniform(-1, 1, size=(650, 6)), np.eye(6), 200)
+        images, _ = cut(rng.uniform(-1, 1, size=(650, 6)), 200)
         assert images[-1].segment_index == images[2].segment_index == 3
         assert np.array_equal(images[-3].pixels, images[0].pixels)
         for bad in (3, -4):
@@ -287,16 +291,29 @@ class TestSegment:
         assert all(np.array_equal(a.pixels, b.pixels) for a, b in zip(images, list(images)))
         assert images[0].pixels is not images[0].pixels
 
+    @pytest.mark.parametrize("la", [1, 30, 250])  # La 250 reaches past the window before
+    def test_any_read_order_gives_the_same_bytes(self, la):
+        record, _ = make_eval_dataset(scenario_presets()["high_ssr"], 1, 5)[0]
+        cfg = PreprocessConfig(half_span_la=la, image_height=23, segment_length=61)
+        in_order = [image.pixels.tobytes() for image in preprocess(record, cfg)]
+        count = len(in_order)
+        shuffled = np.random.default_rng(la).permutation(count)
+        for order in (range(count - 1, -1, -1), shuffled, [count - 1, 0, count // 2]):
+            images = preprocess(record, cfg)
+            for i in order:
+                assert images[int(i)].pixels.tobytes() == in_order[i]
+
 
 def test_preprocess_chain_shapes_and_range():
+    # the images are in detrended units: nothing maps them to [-1, 1] or clips them
     rng = np.random.default_rng(1)
     rec = make_record(rng.normal(size=(450, 16)))
     images = preprocess(rec, PreprocessConfig(half_span_la=100))
     assert len(images) == 2
     for img in images:
         assert img.pixels.shape == (200, 200)
-        assert img.pixels.max() <= 1.0
-        assert img.pixels.min() >= -1.0
+        assert img.pixels.max() > 1.0
+        assert img.pixels.min() < -1.0
 
 
 @pytest.mark.parametrize("preset", ["low_ssr", "optimal_ssr", "high_ssr"])

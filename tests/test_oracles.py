@@ -1,7 +1,7 @@
 """Bitwise oracles: each fast kernel against the formulation it replaced.
 
 The kernels in `pyramid`, `enhance` and `localize`, and the radial spline
-basis and the chunked detrend in `ingest`, are rewritten with the same order
+basis and the windowed detrend in `ingest`, are rewritten with the same order
 of floating-point operations as the code they replaced, so their outputs must
 be equal bit for bit, not merely close. The replaced formulations live on here
 only, as oracles. The basis oracle is scipy's periodic `CubicSpline`, compared
@@ -27,9 +27,9 @@ from scipy.ndimage import correlate1d, find_objects, gaussian_filter1d, label
 from mflscan import pipeline, synth
 from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
 from mflscan.ingest import (
+    MflImage,
     MflRecord,
     PreprocessConfig,
-    Segments,
     detrend,
     interpolate_radial,
     normalize,
@@ -89,10 +89,13 @@ def new_array_normalize(y):
 
 
 def whole_record_preprocess(record, cfg):
-    """`preprocess` as normalize(detrend(...)) on new arrays, then `Segments`."""
-    norm = new_array_normalize(whole_record_detrend(record, cfg))
-    return Segments(norm, interpolate_radial(record.channel_count, cfg.image_height),
-                    cfg.segment_length)
+    """`preprocess` as the whole record's detrend, then each segment's resample."""
+    rows = whole_record_detrend(record, cfg)
+    basis = interpolate_radial(record.channel_count, cfg.image_height)
+    p = cfg.segment_length
+    return [MflImage(np.einsum("pn,nh->hp", rows[i * p : (i + 1) * p], basis, order="C"),
+                     segment_index=i + 1, origin_sample=i * p)
+            for i in range(len(rows) // p)]
 
 
 def reshape_mean_pool2(img):
@@ -610,14 +613,28 @@ class TestChunkedDetrend:
         for values in (y, np.full(shape, 3.0)):
             assert normalize(values).tobytes() == new_array_normalize(values).tobytes()
 
-    @pytest.mark.parametrize("cfg", [PreprocessConfig(), SMALL, TALL])
+    @staticmethod
+    def assert_same_images(record, cfg):
+        got, want = preprocess(record, cfg), whole_record_preprocess(record, cfg)
+        assert len(got) == len(want) > 0
+        for image, reference in zip(got, want):
+            assert image.pixels.tobytes() == reference.pixels.tobytes()
+            assert (image.segment_index, image.origin_sample) == (
+                reference.segment_index, reference.origin_sample)
+
+    @pytest.mark.parametrize("cfg", [PreprocessConfig(), SMALL, TALL, LONG_HALO])
     def test_preprocess_equals_whole_record_chain_on_golden_set(self, cfg):
         records = [record for spec in scenario_presets().values()
                    for record, _ in make_eval_dataset(spec, 3, 7)]
         for record in records:
-            got, want = preprocess(record, cfg), whole_record_preprocess(record, cfg)
-            assert len(got) == len(want) > 0
-            for image, reference in zip(got, want):
-                assert image.pixels.tobytes() == reference.pixels.tobytes()
-                assert (image.segment_index, image.origin_sample) == (
-                    reference.segment_index, reference.origin_sample)
+            self.assert_same_images(record, cfg)
+
+    @pytest.mark.parametrize("channels, cfg, m_count", [
+        (16, PreprocessConfig(), 13 * 200 + 37),
+        (7, SMALL, 11 * 61 + 5),
+        (2, PreprocessConfig(half_span_la=1, image_height=23, segment_length=61), 3 * 61 + 1),
+        (16, LONG_HALO, 257),  # each window's halo reaches past the window before
+        (16, TALL, 20 * 133 + 1),
+    ])
+    def test_preprocess_equals_whole_record_chain_on_walks(self, channels, cfg, m_count):
+        self.assert_same_images(MflRecord(self.walk(m_count, channels), 250.0, 0.5), cfg)

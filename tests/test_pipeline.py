@@ -233,6 +233,26 @@ def test_record_memory_grows_by_one_record_not_four():
     assert above_record[1] - above_record[0] <= 2**20
 
 
+def test_record_memory_holds_no_record_sized_array():
+    # each segment is detrended from its own window of samples, so a rope 8 x
+    # longer adds only its carries (N sums per segment) and its results; an
+    # M x N copy of the record would add 8.5 MiB from 50 to 400 segments
+    preset = scenario_presets()["high_ssr"]
+    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    peaks = []
+    for segments in (50, 400):
+        record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
+        if not peaks:
+            process_record(record)  # warm-up
+        tracemalloc.start()
+        try:
+            process_record(record)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 2**19
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="glibc heap thresholds")
 def test_streamed_segments_keep_their_heap(optimal):
     # each segment frees a working set of about 2.4 MB; returned to the OS,

@@ -3,8 +3,8 @@
 Records arrive as M axial samples x N channels. Preprocessing turns one record
 into a sequence of fixed-size H x P images (rows radial, columns axial) in the
 record's detrended units. The sequence detrends and resamples each image's
-window of samples when it is accessed, so it holds no array of the record's
-size beside the record itself.
+window of samples when it is accessed, from the window and its halo alone, so
+it holds no array of the record's size beside the record itself.
 """
 
 from __future__ import annotations
@@ -83,50 +83,6 @@ def _require(m_count: int, name: str, value: int, needed: int):
         raise ConfigInvalid(
             f"record has {m_count} samples, {name} = {value} needs at least {needed}"
         )
-
-
-def _detrend_window(x: np.ndarray, la: int, start: int, stop: int, carry: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """Detrend rows [start, stop) of `x` into `out`; return the next window's carry.
-
-    `carry` is the cumulative sum of x[:max(start - La, 0)], the window's halo
-    start. The window sums are differences of the cumulative sum over the rows
-    plus their 2*La halo, which starts from the carry (a prefix sum in blocks;
-    Blelloch 1990) and adds the samples in the same order as one cumulative sum
-    over the record would, so every value equals the whole-record computation's
-    bit for bit. The returned carry is the sum at max(stop - La, 0), the halo
-    start of the window that begins at `stop`.
-    """
-    m_count, channels = x.shape
-    halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
-    # csum[k] = sum of x[:halo_start + k]; row 0 is the carry
-    csum = np.empty((halo_stop - halo_start + 1, channels))
-    csum[0] = carry
-    csum[1:] = x[halo_start:halo_stop]
-    first = 1 if halo_start == 0 else 0  # the record's own sum starts at x[0]
-    np.cumsum(csum[first:], axis=0, out=csum[first:])
-    idx = np.arange(start, stop)
-    lo = np.maximum(idx - la, 0)
-    hi = np.minimum(idx + la - 1, m_count - 1)
-    np.subtract(csum[hi + 1 - halo_start], csum[lo - halo_start], out=out)
-    out /= (hi - lo + 1).astype(float)[:, None]
-    np.subtract(x[start:stop], out, out=out)
-    return csum[max(stop - la, 0) - halo_start].copy()
-
-
-def detrend(record: MflRecord, cfg: PreprocessConfig) -> np.ndarray:
-    """Subtract a centered moving-average baseline from every channel, as a new M x N array.
-
-    The baseline at sample m is the mean over the window [m-La, m+La-1].
-    Near the record edges the window is truncated to the available samples
-    and the divisor shrinks accordingly. This is the whole record as one
-    window of the kernel that `Segments` runs one image at a time.
-    """
-    x = record.samples
-    _require(x.shape[0], "half_span_la", cfg.half_span_la, 2 * cfg.half_span_la)
-    out = np.empty(x.shape)
-    _detrend_window(x, cfg.half_span_la, 0, x.shape[0], np.zeros(x.shape[1]), out)
-    return out
 
 
 def normalize(y: np.ndarray) -> np.ndarray:
@@ -210,9 +166,8 @@ class Segments(Sequence):
     with their 2*La halo and resampled by the radial basis, in image
     orientation (H rows radial, P columns axial). A trailing remainder
     shorter than P is dropped and never resampled. Only the record, the basis
-    and one carry per image are held, so memory is the record's plus the
-    images the caller keeps. Each window yields the next one's carry, so any
-    read order gives the bytes of an in-order read.
+    and the sizes are held, so memory is the record's plus the images the
+    caller keeps, and any read order gives the same bytes.
     """
 
     def __init__(self, samples: np.ndarray, basis: np.ndarray, cfg: PreprocessConfig):
@@ -220,42 +175,46 @@ class Segments(Sequence):
         _require(samples.shape[0], "segment_length", length, length)
         self._samples, self._basis, self._length = samples, basis, length
         self._la = cfg.half_span_la
-        self._carries = [np.zeros(samples.shape[1])]  # carry i opens image i's window
 
     def __len__(self) -> int:
         return self._samples.shape[0] // self._length
-
-    def _detrended(self, i: int) -> np.ndarray:
-        """Rows [i*P, (i+1)*P) of the detrended record; keeps carry i + 1."""
-        start = i * self._length
-        rows = np.empty((self._length, self._samples.shape[1]))
-        carry = _detrend_window(self._samples, self._la, start, start + self._length,
-                                self._carries[i], rows)
-        if len(self._carries) == i + 1:
-            self._carries.append(carry)
-        return rows
 
     def __getitem__(self, i: int) -> MflImage:
         count = len(self)
         if not -count <= i < count:
             raise IndexError(f"segment {i} of {count}")
         i %= count
-        while len(self._carries) <= i:
-            self._detrended(len(self._carries) - 1)
+        x, la = self._samples, self._la
+        m_count = x.shape[0]
+        start, stop = i * self._length, (i + 1) * self._length
+        # The baseline at sample m is the mean over [m - La, m + La - 1],
+        # truncated at the record's edges: a difference of one cumulative sum
+        # over the window and its halo, which starts at the halo, so no
+        # earlier sample enters it and its error does not grow along the rope.
+        halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
+        # csum[k] = sum of x[halo_start:halo_start + k]
+        csum = np.zeros((halo_stop - halo_start + 1, x.shape[1]))
+        np.cumsum(x[halo_start:halo_stop], axis=0, out=csum[1:])
+        idx = np.arange(start, stop)
+        lo = np.maximum(idx - la, 0)
+        hi = np.minimum(idx + la - 1, m_count - 1)
+        rows = csum[hi + 1 - halo_start] - csum[lo - halo_start]
+        rows /= (hi - lo + 1).astype(float)[:, None]
+        np.subtract(x[start:stop], rows, out=rows)
         # einsum runs on this thread; `@` would hand this size to the threaded
         # BLAS, whose idle worker keeps spinning on a core after the call
-        pixels = np.einsum("pn,nh->hp", self._detrended(i), self._basis, order="C")
-        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=i * self._length)
+        pixels = np.einsum("pn,nh->hp", rows, self._basis, order="C")
+        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start)
 
 
 def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:
     """Full preprocessing chain: detrend -> radial basis -> segments, in detrended units.
 
     Nothing is mapped to a fixed range or clipped: every later stage ignores a
-    record-wide gain and offset. Each segment is detrended and resampled only
-    when it is accessed, so the images equal those of
-    `einsum(detrend(record, cfg)[i*P:(i+1)*P], basis)` bit for bit and no
-    array of the record's size is allocated.
+    record-wide gain and offset. Each segment is detrended from its own window
+    and halo and resampled only when it is accessed, so no array of the
+    record's size is allocated. With P = M and H = N the basis is the
+    identity, and the one image is the whole record's detrend, transposed.
     """
     _require(record.sample_count, "half_span_la", cfg.half_span_la, 2 * cfg.half_span_la)
     basis = interpolate_radial(record.channel_count, cfg.image_height)

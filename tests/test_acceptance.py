@@ -19,7 +19,7 @@ import pytest
 
 from mflscan.enhance import envelope, fuse, gamma_enhance, peak_normalize, upsample_bilinear
 from mflscan.evaluate import run_ablation, score
-from mflscan.ingest import MflRecord, PreprocessConfig, detrend, normalize, preprocess
+from mflscan.ingest import PreprocessConfig, Segments, normalize, preprocess
 from mflscan.localize import binarize
 from mflscan.pipeline import process_segment
 from mflscan.pyramid import build_template, match
@@ -157,9 +157,10 @@ class TestCriterion6Properties:
         # trendless: constant offset plus components whose mean over every
         # full-length window vanishes (sinusoids with an integer number of
         # periods per window); compared over the deep interior where no
-        # truncated edge window is involved
+        # truncated edge window is involved. The whole record is one window
+        # (P = M) over the identity basis, so its image is the detrend, transposed.
         rng = np.random.default_rng(301)
-        cfg = PreprocessConfig(half_span_la=10)
+        cfg = PreprocessConfig(half_span_la=10, segment_length=120)
         worst = 0.0
         for _ in range(100):
             m = np.arange(120)
@@ -168,9 +169,8 @@ class TestCriterion6Properties:
                 rng.uniform(-5, 5)
                 + rng.uniform(0.1, 2) * np.sin(2 * np.pi * k * m / 20 + rng.uniform(0, 7))
             )[:, None] * np.ones((1, 2))
-            rec = MflRecord(x, 250.0, 0.5)
-            once = detrend(rec, cfg)
-            twice = detrend(MflRecord(once, 250.0, 0.5), cfg)
+            once = Segments(x, np.eye(2), cfg)[0].pixels.T
+            twice = Segments(once, np.eye(2), cfg)[0].pixels.T
             worst = max(worst, float(np.abs(twice - once)[20:-20].max()))
         ok = worst <= 1e-9
         assert announce("criterion 6a: detrend idempotent on trendless input", ok,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mflscan.errors import ConfigInvalid, FormatError
-from mflscan.ingest import MflRecord, PreprocessConfig, detrend
+from mflscan.ingest import MflRecord, PreprocessConfig, preprocess
 from mflscan.pipeline import process_record
 from mflscan.ssr import AdaptiveConfig
 from mflscan.synth import SynthSpec
@@ -18,7 +18,7 @@ def flat_record(samples=800, speed=0.5):
 
 
 @pytest.mark.parametrize("refused, exc_type, names", [
-    (lambda: detrend(flat_record(30), PreprocessConfig(half_span_la=20)),
+    (lambda: preprocess(flat_record(30), PreprocessConfig(half_span_la=20)),
      ConfigInvalid, "half_span_la"),
     (lambda: process_record(flat_record(), PreprocessConfig(segment_length=3)),
      ConfigInvalid, "segment_length"),

@@ -1,5 +1,8 @@
 """Preprocessing: detrend, normalize, radial interpolation, segmentation."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -10,12 +13,13 @@ from mflscan.ingest import (
     MflRecord,
     PreprocessConfig,
     Segments,
-    detrend,
     interpolate_radial,
     normalize,
     preprocess,
 )
-from mflscan.synth import make_eval_dataset, scenario_presets
+from mflscan.synth import generate, make_eval_dataset, scenario_presets
+
+from test_oracles import halo_detrend
 
 
 def make_record(samples, fs=250.0, v=0.5):
@@ -32,20 +36,29 @@ def naive_interpolate_radial(data, height):
         CubicSpline(knots, np.append(row, row[0]), bc_type="periodic")(positions)
         for row in data
     ]
-    return np.clip(np.array(rows).reshape(len(data), height), -1.0, 1.0)
+    return np.array(rows).reshape(len(data), height)
 
 
 def resample(data, height):
     """Each row of `data` at `height` radial positions, through the basis."""
-    return np.clip(data @ interpolate_radial(data.shape[1], height), -1.0, 1.0)
+    return data @ interpolate_radial(data.shape[1], height)
+
+
+def detrend(record, cfg):
+    """The whole record detrended as one window: `preprocess` with P = M over
+    the identity basis (H = N), transposed back to M x N."""
+    whole = replace(cfg, image_height=record.channel_count, segment_length=record.sample_count)
+    return preprocess(record, whole)[0].pixels.T
 
 
 def naive_preprocess(record, cfg=PreprocessConfig()):
-    """Reference for `preprocess`: the whole M x H strip, then a transposed copy
-    of each segment."""
-    strip = np.einsum("mn,nh->mh", detrend(record, cfg),
-                      interpolate_radial(record.channel_count, cfg.image_height))
+    """Reference for `preprocess`: the whole strip of halo-detrended windows
+    resampled at once, then a transposed copy of each segment."""
     p = cfg.segment_length
+    rows = np.concatenate([halo_detrend(record.samples, cfg.half_span_la, i * p, (i + 1) * p)
+                           for i in range(record.sample_count // p)])
+    strip = np.einsum("mn,nh->mh", rows,
+                      interpolate_radial(record.channel_count, cfg.image_height))
     return [
         MflImage(pixels=strip[i * p : (i + 1) * p].T.copy(), segment_index=i + 1,
                  origin_sample=i * p)
@@ -239,14 +252,17 @@ class TestInterpolateRadial:
 
 
 def cut(samples, length, la=50):
-    """`Segments` of `samples` over the identity basis, and the detrended samples."""
+    """`Segments` of `samples` over the identity basis, and the halo oracle's
+    detrended windows, concatenated."""
     cfg = PreprocessConfig(half_span_la=la, segment_length=length)
-    return (Segments(samples, np.eye(samples.shape[1]), cfg),
-            detrend(make_record(samples), cfg))
+    images = Segments(samples, np.eye(samples.shape[1]), cfg)
+    return images, np.concatenate([halo_detrend(samples, la, i * length, (i + 1) * length)
+                                   for i in range(len(images))])
 
 
 class TestSegment:
-    """`Segments` over the identity basis is the transposed detrended record, cut in P."""
+    """`Segments` over the identity basis is the record cut in P, each window
+    detrended from its own halo and transposed."""
 
     def test_five_segments_with_origins(self):
         f = np.linspace(-1, 1, 1000 * 8).reshape(1000, 8)
@@ -302,6 +318,40 @@ class TestSegment:
             images = preprocess(record, cfg)
             for i in order:
                 assert images[int(i)].pixels.tobytes() == in_order[i]
+
+    def test_window_ignores_samples_before_its_halo(self):
+        # 2P rows of other values ahead of the record move its windows by two;
+        # window i >= 1 starts its halo at iP - La, past the rows put ahead
+        record, _ = make_eval_dataset(scenario_presets()["high_ssr"], 1, 5)[0]
+        cfg = PreprocessConfig()
+        p = cfg.segment_length
+        ahead = np.random.default_rng(3).normal(300.0, 50.0, size=(2 * p, record.channel_count))
+        longer = make_record(np.vstack([ahead, record.samples]))
+        original, shifted = preprocess(record, cfg), preprocess(longer, cfg)
+        assert len(original) == 4 and len(shifted) == 6
+        for i in range(1, len(original)):
+            assert original[i].pixels.tobytes() == shifted[i + 2].pixels.tobytes()
+
+
+def test_detrend_accuracy_holds_along_the_rope():
+    # a difference of two prefix sums loses accuracy as the prefix grows
+    # (Higham 2002, section 4); a window summed from its own halo keeps the
+    # last of 400 segments, offset by 1000, close to exactly rounded window means
+    preset = scenario_presets()["high_ssr"]
+    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    record, _ = generate(replace(preset, rope_length_m=(400 * 200 + 150.5) / f_spatial))
+    x = record.samples + 1000.0
+    cfg = PreprocessConfig()
+    images = Segments(x, np.eye(record.channel_count), cfg)
+    assert len(images) == 400
+    last = images[-1]
+    la, m_count = cfg.half_span_la, record.sample_count
+    worst = 0.0
+    for row, m in enumerate(range(last.origin_sample, last.origin_sample + last.length)):
+        window = x[max(m - la, 0) : min(m + la - 1, m_count - 1) + 1].T.tolist()
+        want = [x[m, n] - math.fsum(column) / len(column) for n, column in enumerate(window)]
+        worst = max(worst, float(np.abs(last.pixels[:, row] - want).max()))
+    assert worst <= 1e-10
 
 
 def test_preprocess_chain_shapes_and_range():

@@ -4,7 +4,8 @@ The kernels in `pyramid`, `enhance` and `localize`, and the radial spline
 basis and the windowed detrend in `ingest`, are rewritten with the same order
 of floating-point operations as the code they replaced, so their outputs must
 be equal bit for bit, not merely close. The replaced formulations live on here
-only, as oracles. The basis oracle is scipy's periodic `CubicSpline`, compared
+only, as oracles. Each detrend window sums from its own halo, so its oracle
+does too; the whole record's one cumulative sum is held to a tolerance. The basis oracle is scipy's periodic `CubicSpline`, compared
 byte for byte and stride for stride. Equality of the `correlate1d`, `mean` and
 `CubicSpline` oracles holds for the pinned numpy 2.4.6 and scipy 1.17.1.
 The threshold scan stops early instead, so its oracle pins the choice and
@@ -17,6 +18,7 @@ peak, not bit for bit, and records built with either give the same detections.
 """
 
 import math
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -30,7 +32,7 @@ from mflscan.ingest import (
     MflImage,
     MflRecord,
     PreprocessConfig,
-    detrend,
+    Segments,
     interpolate_radial,
     normalize,
     preprocess,
@@ -65,7 +67,7 @@ def cubic_spline_basis(channels, height):
 
 
 def whole_record_detrend(record, cfg):
-    """`detrend` as one cumulative sum over the whole record and whole-record gathers."""
+    """The record detrended from one cumulative sum over the whole record."""
     x = record.samples
     m_count = x.shape[0]
     la = cfg.half_span_la
@@ -79,6 +81,20 @@ def whole_record_detrend(record, cfg):
     return x - baseline
 
 
+def halo_detrend(x, la, start, stop):
+    """Rows [start, stop) of `x` detrended from one cumulative sum over all of
+    x[max(start - La, 0):], the window's halo start onward."""
+    halo_start = max(start - la, 0)
+    csum = np.vstack([np.zeros((1, x.shape[1])), np.cumsum(x[halo_start:], axis=0)])
+    idx = np.arange(start, stop)
+    lo = np.maximum(idx - la, 0)
+    hi = np.minimum(idx + la - 1, len(x) - 1)
+    window_sum = csum[hi + 1 - halo_start] - csum[lo - halo_start]
+    window_len = (hi - lo + 1).astype(float)[:, None]
+    baseline = window_sum / window_len
+    return x[start:stop] - baseline
+
+
 def new_array_normalize(y):
     """`normalize` as one expression, which makes a new array at each step."""
     lo = y.min()
@@ -88,14 +104,14 @@ def new_array_normalize(y):
     return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
-def whole_record_preprocess(record, cfg):
-    """`preprocess` as the whole record's detrend, then each segment's resample."""
-    rows = whole_record_detrend(record, cfg)
+def halo_preprocess(record, cfg):
+    """`preprocess` as each window's halo detrend, then its resample."""
+    x, la, p = record.samples, cfg.half_span_la, cfg.segment_length
     basis = interpolate_radial(record.channel_count, cfg.image_height)
-    p = cfg.segment_length
-    return [MflImage(np.einsum("pn,nh->hp", rows[i * p : (i + 1) * p], basis, order="C"),
+    return [MflImage(np.einsum("pn,nh->hp", halo_detrend(x, la, i * p, (i + 1) * p), basis,
+                               order="C"),
                      segment_index=i + 1, origin_sample=i * p)
-            for i in range(len(rows) // p)]
+            for i in range(len(x) // p)]
 
 
 def reshape_mean_pool2(img):
@@ -539,73 +555,75 @@ class TestSmoothDrift:
                                    [d.score for d in b.detections], rtol=0, atol=1e-12)
 
 
-def chunk_rows(cfg, channels):
-    """Rows per `detrend` chunk: about one H x P segment image's worth of samples."""
-    return max(cfg.segment_length, cfg.image_height * cfg.segment_length // channels)
-
-
 SMALL = PreprocessConfig(half_span_la=30, image_height=23, segment_length=61)
 TALL = PreprocessConfig(image_height=199, segment_length=133)
 
 
+def assert_near_whole_record_sum(record, cfg, rows):
+    """`rows`, the record's first windows detrended, lie within M * eps * max|x| of
+    the whole record's one cumulative sum, whose prefixes grow along the record."""
+    want = whole_record_detrend(record, cfg)[: len(rows)]
+    bound = record.sample_count * np.finfo(float).eps * np.abs(record.samples).max()
+    np.testing.assert_allclose(rows, want, rtol=0, atol=bound)
+
+
 class TestChunkedDetrend:
-    # (channels, cfg) -> chunk rows: 16 x default 2500, 7 x SMALL 200,
-    # 2 x SMALL 701, 16 x LONG_HALO 20 (below La 50)
+    """Each chunk is one `Segments` window, P rows detrended with their 2*La halo,
+    and must equal the halo oracle bit for bit on either side of every seam."""
+
     LONG_HALO = PreprocessConfig(half_span_la=50, image_height=16, segment_length=20)
 
     @staticmethod
     def assert_same_bits(samples, cfg):
+        # over the identity basis each image is its window's detrended rows, transposed
         record = MflRecord(samples, 250.0, 0.5)
-        got = detrend(record, cfg)
-        want = whole_record_detrend(record, cfg)
+        images = Segments(samples, np.eye(samples.shape[1]), cfg)
+        got = np.concatenate([image.pixels.T for image in images])
+        p, la = cfg.segment_length, cfg.half_span_la
+        want = np.concatenate([halo_detrend(samples, la, i * p, (i + 1) * p)
+                               for i in range(len(images))])
         assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()  # -0.0 included
+        assert got.tobytes() == want.tobytes()
+        assert_near_whole_record_sum(record, cfg, got)
 
     @staticmethod
     def walk(m_count, channels):
-        samples = np.cumsum(np.random.default_rng(m_count * 31 + channels)
-                            .normal(size=(m_count, channels)), axis=0)
-        samples[0, 0] = -0.0  # the whole-record sum keeps its sign
-        return samples
+        return np.cumsum(np.random.default_rng(m_count * 31 + channels)
+                         .normal(size=(m_count, channels)), axis=0)
 
     @pytest.mark.parametrize("channels, cfg", [(16, PreprocessConfig()), (7, SMALL), (2, SMALL)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_record_one_chunk_either_side(self, channels, cfg, offset):
-        self.assert_same_bits(self.walk(chunk_rows(cfg, channels) + offset, channels), cfg)
+        # a record one row short of, at and one row past its second seam
+        self.assert_same_bits(self.walk(2 * cfg.segment_length + offset, channels), cfg)
 
     @pytest.mark.parametrize("channels, cfg", [
         (16, PreprocessConfig()), (7, SMALL), (2, SMALL), (16, LONG_HALO)])
     def test_record_of_two_half_spans(self, channels, cfg):
-        self.assert_same_bits(self.walk(2 * cfg.half_span_la, channels), cfg)
+        # the shortest record `preprocess` accepts, as one window
+        m_count = 2 * cfg.half_span_la
+        self.assert_same_bits(self.walk(m_count, channels), replace(cfg, segment_length=m_count))
 
     @pytest.mark.parametrize("channels, cfg, m_count", [
-        (16, PreprocessConfig(), 13 * 200 + 37),  # crosses a chunk, then a tail
+        (16, PreprocessConfig(), 13 * 200 + 37),
         (7, SMALL, 11 * 61 + 5),
         (2, SMALL, 12 * 61 + 60),
         (16, TALL, 20 * 133 + 1),
     ])
     def test_segments_plus_a_tail(self, channels, cfg, m_count):
-        assert m_count > chunk_rows(cfg, channels)
+        # the last window's halo reaches into the dropped tail
+        assert m_count % cfg.segment_length
         self.assert_same_bits(self.walk(m_count, channels), cfg)
 
     @pytest.mark.parametrize("m_count", [100, 257, 1000])
     def test_half_span_longer_than_a_chunk(self, m_count):
         cfg = self.LONG_HALO
-        assert cfg.half_span_la > chunk_rows(cfg, 16)
+        assert cfg.half_span_la > cfg.segment_length
         self.assert_same_bits(self.walk(m_count, 16), cfg)
 
     @pytest.mark.parametrize("channels", [2, 7, 16])
     def test_channel_counts_over_many_chunks(self, channels):
-        cfg = SMALL
-        self.assert_same_bits(self.walk(5 * chunk_rows(cfg, channels) + 3, channels), cfg)
-
-    @pytest.mark.parametrize("channels", [2, 16])
-    def test_signed_zero_first_sample(self, channels):
-        # at La 1 the first window sum is x[0] alone, so the sum must start
-        # at x[0] itself: 0.0 + -0.0 is 0.0
-        self.assert_same_bits(self.walk(3 * chunk_rows(SMALL, channels) + 1, channels),
-                              PreprocessConfig(half_span_la=1, image_height=23,
-                                               segment_length=61))
+        self.assert_same_bits(self.walk(50 * SMALL.segment_length + 3, channels), SMALL)
 
     @pytest.mark.parametrize("shape", [(61, 7), (2501, 16), (1, 2)])
     def test_normalize_equals_one_expression(self, shape):
@@ -615,12 +633,15 @@ class TestChunkedDetrend:
 
     @staticmethod
     def assert_same_images(record, cfg):
-        got, want = preprocess(record, cfg), whole_record_preprocess(record, cfg)
+        got, want = preprocess(record, cfg), halo_preprocess(record, cfg)
         assert len(got) == len(want) > 0
         for image, reference in zip(got, want):
             assert image.pixels.tobytes() == reference.pixels.tobytes()
             assert (image.segment_index, image.origin_sample) == (
                 reference.segment_index, reference.origin_sample)
+        identity = Segments(record.samples, np.eye(record.channel_count), cfg)
+        assert_near_whole_record_sum(record, cfg,
+                                     np.concatenate([image.pixels.T for image in identity]))
 
     @pytest.mark.parametrize("cfg", [PreprocessConfig(), SMALL, TALL, LONG_HALO])
     def test_preprocess_equals_whole_record_chain_on_golden_set(self, cfg):

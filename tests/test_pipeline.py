@@ -195,8 +195,9 @@ class TestLayerSkipping:
 
 
 def test_record_memory_is_record_sized_plus_one_segment():
-    # a 50-segment high_ssr rope with a 150-sample tail; holding its M x H
-    # strip (and a copy of it in segments) would need about 2 x 16 MB
+    # a 50-segment high_ssr rope with a 150-sample tail, built before tracing;
+    # processing it holds one segment's working set, within criterion 7's
+    # 4 MiB, where its M x H strip alone would need about 16 MB
     preset = scenario_presets()["high_ssr"]
     f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
     record, _ = generate(replace(preset, rope_length_m=(50 * 200 + 150.5) / f_spatial))
@@ -208,35 +209,13 @@ def test_record_memory_is_record_sized_plus_one_segment():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * record.samples.nbytes + 4 * 2**20
-
-
-def test_record_memory_grows_by_one_record_not_four():
-    # preprocessing allocates one M x N array and chunk-sized temporaries, so
-    # from 50 to 400 segments the traced peak grows by the record's bytes
-    # alone; a whole-record cumulative sum and normalize grew it by 4 x
-    preset = scenario_presets()["high_ssr"]
-    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
-    above_record = []
-    for segments in (50, 400):
-        record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
-        assert record.sample_count // 200 == segments
-        if not above_record:
-            process_record(record)  # warm-up
-        tracemalloc.start()
-        try:
-            process_record(record)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        above_record.append(peak - record.samples.nbytes)
-    assert above_record[1] - above_record[0] <= 2**20
+    assert peak <= 4 * 2**20
 
 
 def test_record_memory_holds_no_record_sized_array():
-    # each segment is detrended from its own window of samples, so a rope 8 x
-    # longer adds only its carries (N sums per segment) and its results; an
-    # M x N copy of the record would add 8.5 MiB from 50 to 400 segments
+    # each segment is detrended from its own window and halo, so a rope 8 x
+    # longer adds only its results; an M x N copy of the record would add
+    # 8.5 MiB from 50 to 400 segments
     preset = scenario_presets()["high_ssr"]
     f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
     peaks = []

@@ -1,7 +1,8 @@
 """Command-line entry point: generate, detect, evaluate, inspect.
 
-Exit codes: 0 success, 2 usage error (`errors.ConfigInvalid`, or an output
-that cannot be written), 3 input parse error (`errors.FormatError`).
+Exit codes: 0 success, 2 usage error (`errors.ConfigInvalid`, an output
+that cannot be written, or a run that runs out of memory), 3 input parse
+error (`errors.FormatError`).
 """
 
 from __future__ import annotations
@@ -264,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     except OSError as exc:  # each input reader maps its own OSError to FormatError
         print(f"error: cannot write: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # sizes within every check can still exceed memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mflscan
-from mflscan import formats
+from mflscan import cli, formats
 from mflscan.cli import CONFIG_KEYS, EXIT_OK, EXIT_PARSE, EXIT_USAGE, load_config, main
 from mflscan.errors import FormatError
 from mflscan.ingest import FINITE_CHECK_SAMPLES, MflRecord
@@ -96,6 +96,7 @@ class TestGenerate:
         code = main(["generate", str(spec_path), "--out", str(tmp_path / "r")])
         assert code == EXIT_PARSE
         assert "inspection_speed_mps" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.mfl"))
 
     @pytest.mark.parametrize("field", ["rope_length_m", "strand_pitch_m"])
     def test_mistyped_spec_field_is_parse_error(self, field, tmp_path, capsys):
@@ -180,16 +181,19 @@ class TestDetect:
                 assert (dump / f"seg{seg}_L{layer}_resp.pgm").exists()
                 assert (dump / f"seg{seg}_L{layer}_env.pgm").exists()
 
-    def test_config_sets_the_method(self, optimal_record, tmp_path, capsys):
-        cfg = tmp_path / "single.cfg"
-        cfg.write_text("method = single_scale\n")
+    # the finest threshold grid RunConfig allows, 999 thresholds, runs end to end
+    @pytest.mark.parametrize("key, value", [("method", "single_scale"),
+                                            ("threshold_step", 0.001)])
+    def test_config_sets_a_run_key(self, key, value, optimal_record, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
         out = tmp_path / "d.json"
         assert main(["detect", str(optimal_record), "--config", str(cfg),
                      "--out", str(out)]) == EXIT_OK
         record = formats.read_record(optimal_record)
-        single = process_record(record, run=RunConfig("single_scale")).detections
-        assert formats.read_detections(out)[1] == single
-        assert single != process_record(record).detections
+        detections = process_record(record, run=RunConfig(**{key: value})).detections
+        assert formats.read_detections(out)[1] == detections
+        assert detections != process_record(record).detections
 
     # (command, flag) pairs: a run key has no flag, and only `detect` dumps stages
     @pytest.mark.parametrize("flag", [
@@ -274,6 +278,19 @@ class TestDetect:
                          + samples.astype("<f8").tobytes())
         assert main(["detect", str(path)]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {path}: samples must be finite\n"
+
+    def test_out_of_memory_is_usage_error(self, optimal_record, tmp_path, capsys, monkeypatch):
+        # a size within every check, such as image_height = 4000000000, can still
+        # exceed memory; a real allocation of that size may succeed on a large host
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr(cli, "process_record", exhausted)
+        out = tmp_path / "d.json"
+        code = main(["detect", str(optimal_record), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 29.8 GiB\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

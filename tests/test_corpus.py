@@ -222,6 +222,11 @@ def test_hostile_spec_values(rope, capsys):
         failures += [f"{name}: {p}" for p in run_case(["generate", path, "--out", out], capsys)]
         if any(bad in name for bad in ("nan", "inf", "text")) and out.with_suffix(".mfl").exists():
             failures.append(f"{name}: wrote a record")
+    # 10**12 channels pass every check, but the 2.8 PiB record fits on no host
+    path = rope["root"] / "huge_spec.json"
+    path.write_text(json.dumps({**spec, "channel_count": 10**12}))
+    failures += [f"channel_count = 10**12: {p}" for p in
+                 run_case(["generate", path, "--out", rope["root"] / "huge"], capsys, expect=(2,))]
     assert not failures, "\n".join(failures)
 
 

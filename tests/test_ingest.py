@@ -9,7 +9,6 @@ from scipy.interpolate import CubicSpline
 
 from mflscan.errors import ConfigInvalid
 from mflscan.ingest import (
-    MflImage,
     MflRecord,
     PreprocessConfig,
     Segments,
@@ -49,21 +48,6 @@ def detrend(record, cfg):
     the identity basis (H = N), transposed back to M x N."""
     whole = replace(cfg, image_height=record.channel_count, segment_length=record.sample_count)
     return preprocess(record, whole)[0].pixels.T
-
-
-def naive_preprocess(record, cfg=PreprocessConfig()):
-    """Reference for `preprocess`: the whole strip of halo-detrended windows
-    resampled at once, then a transposed copy of each segment."""
-    p = cfg.segment_length
-    rows = np.concatenate([halo_detrend(record.samples, cfg.half_span_la, i * p, (i + 1) * p)
-                           for i in range(record.sample_count // p)])
-    strip = np.einsum("mn,nh->mh", rows,
-                      interpolate_radial(record.channel_count, cfg.image_height))
-    return [
-        MflImage(pixels=strip[i * p : (i + 1) * p].T.copy(), segment_index=i + 1,
-                 origin_sample=i * p)
-        for i in range(len(strip) // p)
-    ]
 
 
 class TestRecordValidation:
@@ -364,30 +348,3 @@ def test_preprocess_chain_shapes_and_range():
         assert img.pixels.shape == (200, 200)
         assert img.pixels.max() > 1.0
         assert img.pixels.min() < -1.0
-
-
-@pytest.mark.parametrize("preset", ["low_ssr", "optimal_ssr", "high_ssr"])
-def test_preprocess_matches_strip_oracle_on_presets(preset):
-    for seed in (100, 150, 200):
-        for record, _ in make_eval_dataset(scenario_presets()[preset], 2, seed):
-            assert_same_images(preprocess(record), naive_preprocess(record))
-
-
-@pytest.mark.parametrize("samples, channels, cfg", [
-    (600, 16, PreprocessConfig(half_span_la=50)),  # exact multiple of P
-    (650, 16, PreprocessConfig(half_span_la=50)),  # 50-sample tail
-    (500, 7, PreprocessConfig(half_span_la=30, image_height=23, segment_length=61)),
-    (401, 16, PreprocessConfig(half_span_la=100, image_height=199, segment_length=133)),
-])
-def test_preprocess_matches_strip_oracle_on_shapes(samples, channels, cfg):
-    rng = np.random.default_rng(samples + channels)
-    record = make_record(np.cumsum(rng.normal(size=(samples, channels)), axis=0))
-    assert_same_images(preprocess(record, cfg), naive_preprocess(record, cfg))
-
-
-def assert_same_images(got, expected):
-    assert len(got) == len(expected)
-    for image, reference in zip(got, expected):
-        assert np.array_equal(image.pixels, reference.pixels)
-        assert (image.segment_index, image.origin_sample) == (
-            reference.segment_index, reference.origin_sample)

@@ -34,7 +34,6 @@ from mflscan.ingest import (
     PreprocessConfig,
     Segments,
     interpolate_radial,
-    normalize,
     preprocess,
 )
 from mflscan.enhance import peak_normalize
@@ -93,15 +92,6 @@ def halo_detrend(x, la, start, stop):
     window_len = (hi - lo + 1).astype(float)[:, None]
     baseline = window_sum / window_len
     return x[start:stop] - baseline
-
-
-def new_array_normalize(y):
-    """`normalize` as one expression, which makes a new array at each step."""
-    lo = y.min()
-    hi = y.max()
-    if hi == lo:
-        return np.zeros_like(y)
-    return 2.0 * (y - lo) / (hi - lo) - 1.0
 
 
 def halo_preprocess(record, cfg):
@@ -567,9 +557,9 @@ def assert_near_whole_record_sum(record, cfg, rows):
     np.testing.assert_allclose(rows, want, rtol=0, atol=bound)
 
 
-class TestChunkedDetrend:
-    """Each chunk is one `Segments` window, P rows detrended with their 2*La halo,
-    and must equal the halo oracle bit for bit on either side of every seam."""
+class TestSegmentWindows:
+    """Each `Segments` window, P rows detrended with their 2*La halo, must equal
+    the halo oracle bit for bit on either side of every seam."""
 
     LONG_HALO = PreprocessConfig(half_span_la=50, image_height=16, segment_length=20)
 
@@ -593,7 +583,7 @@ class TestChunkedDetrend:
 
     @pytest.mark.parametrize("channels, cfg", [(16, PreprocessConfig()), (7, SMALL), (2, SMALL)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_record_one_chunk_either_side(self, channels, cfg, offset):
+    def test_record_one_row_either_side_of_a_seam(self, channels, cfg, offset):
         # a record one row short of, at and one row past its second seam
         self.assert_same_bits(self.walk(2 * cfg.segment_length + offset, channels), cfg)
 
@@ -616,20 +606,14 @@ class TestChunkedDetrend:
         self.assert_same_bits(self.walk(m_count, channels), cfg)
 
     @pytest.mark.parametrize("m_count", [100, 257, 1000])
-    def test_half_span_longer_than_a_chunk(self, m_count):
+    def test_half_span_longer_than_a_window(self, m_count):
         cfg = self.LONG_HALO
         assert cfg.half_span_la > cfg.segment_length
         self.assert_same_bits(self.walk(m_count, 16), cfg)
 
     @pytest.mark.parametrize("channels", [2, 7, 16])
-    def test_channel_counts_over_many_chunks(self, channels):
+    def test_channel_counts_over_many_windows(self, channels):
         self.assert_same_bits(self.walk(50 * SMALL.segment_length + 3, channels), SMALL)
-
-    @pytest.mark.parametrize("shape", [(61, 7), (2501, 16), (1, 2)])
-    def test_normalize_equals_one_expression(self, shape):
-        y = mixed_magnitudes(np.random.default_rng(shape[0]), shape)
-        for values in (y, np.full(shape, 3.0)):
-            assert normalize(values).tobytes() == new_array_normalize(values).tobytes()
 
     @staticmethod
     def assert_same_images(record, cfg):
@@ -644,7 +628,7 @@ class TestChunkedDetrend:
                                      np.concatenate([image.pixels.T for image in identity]))
 
     @pytest.mark.parametrize("cfg", [PreprocessConfig(), SMALL, TALL, LONG_HALO])
-    def test_preprocess_equals_whole_record_chain_on_golden_set(self, cfg):
+    def test_preprocess_equals_halo_oracle_on_golden_set(self, cfg):
         records = [record for spec in scenario_presets().values()
                    for record, _ in make_eval_dataset(spec, 3, 7)]
         for record in records:
@@ -656,6 +640,8 @@ class TestChunkedDetrend:
         (2, PreprocessConfig(half_span_la=1, image_height=23, segment_length=61), 3 * 61 + 1),
         (16, LONG_HALO, 257),  # each window's halo reaches past the window before
         (16, TALL, 20 * 133 + 1),
+        (16, PreprocessConfig(half_span_la=50), 3 * 200),  # no tail: the last halo ends the record
+        (16, PreprocessConfig(half_span_la=50), 3 * 200 + 50),  # a tail exactly La long
     ])
-    def test_preprocess_equals_whole_record_chain_on_walks(self, channels, cfg, m_count):
+    def test_preprocess_equals_halo_oracle_on_walks(self, channels, cfg, m_count):
         self.assert_same_images(MflRecord(self.walk(m_count, channels), 250.0, 0.5), cfg)

@@ -194,33 +194,19 @@ class TestLayerSkipping:
         assert adaptive.chosen_thresholds == single.chosen_thresholds
 
 
-def test_record_memory_is_record_sized_plus_one_segment():
-    # a 50-segment high_ssr rope with a 150-sample tail, built before tracing;
-    # processing it holds one segment's working set, within criterion 7's
-    # 4 MiB, where its M x H strip alone would need about 16 MB
-    preset = scenario_presets()["high_ssr"]
-    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
-    record, _ = generate(replace(preset, rope_length_m=(50 * 200 + 150.5) / f_spatial))
-    assert record.sample_count // 200 == 50
-    process_record(record)  # warm-up
-    tracemalloc.start()
-    try:
-        process_record(record)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2**20
-
-
 def test_record_memory_holds_no_record_sized_array():
-    # each segment is detrended from its own window and halo, so a rope 8 x
-    # longer adds only its results; an M x N copy of the record would add
-    # 8.5 MiB from 50 to 400 segments
+    # high_ssr ropes of 50 and 400 segments with a 150-sample tail, each built
+    # before tracing. Processing holds one segment's working set, within
+    # criterion 7's 4 MiB, where the 50-segment M x H strip alone would need
+    # about 16 MB. Each segment is detrended from its own window and halo, so
+    # a rope 8 x longer adds only its results; an M x N copy of the record
+    # would add 8.5 MiB from 50 to 400 segments
     preset = scenario_presets()["high_ssr"]
     f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
     peaks = []
     for segments in (50, 400):
         record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
+        assert record.sample_count // 200 == segments
         if not peaks:
             process_record(record)  # warm-up
         tracemalloc.start()
@@ -229,6 +215,7 @@ def test_record_memory_holds_no_record_sized_array():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    assert peaks[0] <= 4 * 2**20
     assert abs(peaks[1] - peaks[0]) <= 2**19
 
 

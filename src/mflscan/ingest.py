@@ -19,6 +19,7 @@ from .errors import ConfigInvalid
 from .ssr import compute_ssr
 
 FINITE_CHECK_SAMPLES = 2**16  # `MflRecord` checks finiteness this many samples at a time
+MFL1_MAX_COUNT = 2**32 - 1  # the MFL1 header stores M and N as u32
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class MflImage:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Sizes in samples and pixels; each at most 2**32 - 1, the MFL1 header's bound on M and N."""
+    """Sizes in samples and pixels; each at most MFL1_MAX_COUNT, the bound on M and N."""
 
     half_span_la: int = 100
     image_height: int = 200
@@ -73,7 +74,7 @@ class PreprocessConfig:
 
     def __post_init__(self):
         for name in ("half_span_la", "image_height", "segment_length"):
-            if not 1 <= getattr(self, name) <= 2**32 - 1:
+            if not 1 <= getattr(self, name) <= MFL1_MAX_COUNT:
                 raise ConfigInvalid(f"{name} must lie in [1, 2**32 - 1]")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError
-from .ingest import MflRecord
+from .ingest import MFL1_MAX_COUNT, MflRecord
 
 # axial sigma of a stripe artifact, meters (full radial height, short axially)
 STRIPE_SIGMA_M = 0.001
@@ -25,7 +25,7 @@ STRIPE_SIGMA_M = 0.001
 DRIFT_SMOOTH_SAMPLES = 600
 
 MIN_SAMPLES = 400  # at least two default-length segments
-MAX_SAMPLES = 2**32 - 1  # the MFL1 header stores the sample count as u32
+MAX_ARRAY_BYTES = 2**63 - 1  # numpy refuses a larger array whatever the host's memory
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,20 @@ class SynthSpec:
                         "sampling_rate_hz", "strand_pitch_m")
         _require_finite(self, 0, False, "strand_amplitude", "stripe_noise_rate_per_m",
                         "stripe_amplitude", "drift_amplitude", "white_noise_sigma")
-        if self.channel_count < 2:
-            raise FormatError("need at least 2 channels")
+        if not 2 <= self.channel_count <= MFL1_MAX_COUNT:
+            raise FormatError(f"channel_count must lie in [2, {MFL1_MAX_COUNT}]")
         if self.rng_seed < 0:
             raise FormatError(f"rng_seed must be >= 0, got {self.rng_seed}")
         f_spatial = self.sampling_rate_hz / self.inspection_speed_mps
         samples = self.rope_length_m * f_spatial
-        if not MIN_SAMPLES <= samples < MAX_SAMPLES + 1:
+        if not MIN_SAMPLES <= samples < MFL1_MAX_COUNT + 1:
             raise FormatError(
                 f"rope_length_m * sampling_rate_hz / inspection_speed_mps gives {samples:.6g} "
-                f"samples; a record holds {MIN_SAMPLES} to {MAX_SAMPLES}"
+                f"samples; a record holds {MIN_SAMPLES} to {MFL1_MAX_COUNT}"
             )
+        if int(samples) * self.channel_count * 8 > MAX_ARRAY_BYTES:
+            raise FormatError(f"{int(samples)} samples x {self.channel_count} channels need "
+                              f"more bytes than one array can hold")
         if self.stripe_noise_rate_per_m * self.rope_length_m > samples:
             raise FormatError("stripe_noise_rate_per_m expects more stripes than the rope has "
                               "samples")
@@ -105,7 +108,7 @@ def flaw_profile(s: np.ndarray, flaw: GroundTruthFlaw) -> np.ndarray:
 
 def _channel_weights(flaw: GroundTruthFlaw, n_channels: int) -> np.ndarray:
     chan = np.arange(1, n_channels + 1, dtype=float)
-    dist = np.abs(chan - flaw.radial_center_channel)
+    dist = np.abs(chan - flaw.radial_center_channel) % n_channels
     dist = np.minimum(dist, n_channels - dist)  # ring array: circular distance
     spread = max(flaw.radial_spread_channels, 1e-9)
     return np.exp(-0.5 * (dist / spread) ** 2)

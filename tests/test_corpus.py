@@ -23,7 +23,7 @@ from mflscan.synth import GroundTruthFlaw, SynthSpec, generate
 
 # a 31-digit integer: as image_height it exceeds numpy's largest array size
 HOSTILE_VALUES = ("0", "-1", "nan", "inf", "1e300", "1e-300", "text", "1" + "0" * 30)
-HOSTILE_SPEC_VALUES = (0, -1, float("nan"), float("inf"), 1e-300, "text")
+HOSTILE_SPEC_VALUES = (0, -1, float("nan"), float("inf"), 1e300, 1e-300, "text")
 
 
 @pytest.fixture(scope="module")
@@ -195,9 +195,7 @@ def test_hostile_spec_values(rope, capsys):
     """Every numeric SynthSpec and GroundTruthFlaw field with each hostile value,
     and spec files that are not a JSON object, through `generate`.
 
-    1e300 is left out: a finite huge size, such as a 1e300 m rope, is a memory
-    limit, not a parse error. A value that is not a finite number must write no
-    record.
+    A value that is not a finite number must write no record.
     """
     spec = {"rope_length_m": 0.8, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250.0}
     flaw = {"axial_position_m": 0.3}
@@ -222,10 +220,11 @@ def test_hostile_spec_values(rope, capsys):
         failures += [f"{name}: {p}" for p in run_case(["generate", path, "--out", out], capsys)]
         if any(bad in name for bad in ("nan", "inf", "text")) and out.with_suffix(".mfl").exists():
             failures.append(f"{name}: wrote a record")
-    # 10**12 channels pass every check, but the 2.8 PiB record fits on no host
+    # 2**32 - 1 channels over 2**22 samples pass every check, but the 128 PiB
+    # record, the first large array that generate makes, fits in no address space
     path = rope["root"] / "huge_spec.json"
-    path.write_text(json.dumps({**spec, "channel_count": 10**12}))
-    failures += [f"channel_count = 10**12: {p}" for p in
+    path.write_text(json.dumps({**spec, "rope_length_m": 2**22 / 500, "channel_count": 2**32 - 1}))
+    failures += [f"128 PiB record: {p}" for p in
                  run_case(["generate", path, "--out", rope["root"] / "huge"], capsys, expect=(2,))]
     assert not failures, "\n".join(failures)
 

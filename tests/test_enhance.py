@@ -12,8 +12,6 @@ from mflscan.enhance import (
     peak_normalize,
     upsample_bilinear,
 )
-from mflscan.errors import ConfigInvalid
-from mflscan.ssr import AdaptiveConfig
 
 
 def naive_maxima_mask(enhanced):
@@ -117,11 +115,6 @@ class TestPeakNormalize:
             out = peak_normalize(image)
             assert out.shape == image.shape and not out.any()
 
-    def test_gamma_enhance_is_normalized_power(self):
-        rng = np.random.default_rng(3)
-        c = rng.uniform(0, 4, size=(9, 13))
-        assert np.array_equal(gamma_enhance(c, 2.5), peak_normalize(c) ** 2.5)
-
 
 class TestGammaEnhance:
     def test_unit_exponent_is_max_normalization(self):
@@ -144,21 +137,6 @@ class TestGammaEnhance:
             out = gamma_enhance(c, g)
             assert out.min() >= 0.0
             assert out.max() == pytest.approx(1.0)
-
-    def test_argmax_preserved(self):
-        rng = np.random.default_rng(2)
-        c = rng.uniform(0, 1, size=(15, 15))
-        for g in (1.5, 2.0, 3.0):
-            out = gamma_enhance(c, g)
-            assert np.unravel_index(np.argmax(out), out.shape) == np.unravel_index(
-                np.argmax(c), c.shape
-            )
-
-    def test_rejects_non_positive_gamma(self):
-        # gamma is checked once, where it enters: AdaptiveConfig
-        for gamma in (0.0, -1.0):
-            with pytest.raises(ConfigInvalid, match="gamma"):
-                AdaptiveConfig(gamma=gamma)
 
 
 class TestEnvelope:
@@ -325,14 +303,6 @@ class TestFuse:
                            rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
             fuse((f1, f2), (0.5, 0.3, 0.2))  # L3 has weight but is missing
-
-    def test_convexity_bounds(self):
-        f1, f2, f3 = self._layers(seed=5)
-        lo = min(f.min() for f in (f1, f2, f3))
-        hi = max(f.max() for f in (f1, f2, f3))
-        out = fuse((f1, f2, f3), (0.25, 0.5, 0.25))
-        assert out.min() >= lo - 1e-12
-        assert out.max() <= hi + 1e-12
 
     def test_flaw_value_nondecreasing_in_fine_weight(self):
         f1, f2, f3 = self._layers(seed=6)

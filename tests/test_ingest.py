@@ -158,14 +158,6 @@ class TestNormalize:
     def test_flat_input_maps_to_zeros(self):
         assert np.allclose(normalize(np.full((5, 5), 3.0)), 0.0)
 
-    def test_order_preserving(self):
-        rng = np.random.default_rng(3)
-        y = rng.normal(size=(40, 4))
-        out = normalize(y)
-        flat_in, flat_out = y.ravel(), out.ravel()
-        order = np.argsort(flat_in)
-        assert np.all(np.diff(flat_out[order]) >= 0)
-
 
 class TestInterpolateRadial:
     def test_knot_values_reproduced(self):

@@ -111,10 +111,6 @@ class TestBuildTemplate:
 
 
 class TestMatch:
-    def test_constant_layer_zero_response(self):
-        out = match(np.full((10, 10), 0.8), build_template(5))
-        assert np.allclose(out, 0.0)
-
     def test_axial_step_fixture(self):
         # columns 0-2 = -1, columns 3-5 = +1; 2x2 template at the step sums
         # (-1)(-1)+(1)(1) per row = 4 over two rows

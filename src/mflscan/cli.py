@@ -98,7 +98,7 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
         flaws = tuple(GroundTruthFlaw(**_typed(GroundTruthFlaw, flaw))
                       for flaw in payload.pop("flaws", []))
         return SynthSpec(**_typed(SynthSpec, dict(payload, flaws=flaws)) | overrides)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 

@@ -8,6 +8,8 @@ weight per layer.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -96,20 +98,40 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _bilinear_taps(n: int, target: int, axis: int) -> tuple[np.ndarray, ...]:
+    """The taps (lo, hi, 1 - f, f) that resize `n` samples to `target` along `axis`.
+
+    Built once per (n, target, axis), for the last 16 such keys, and shared
+    by every caller, so they are returned read-only. The weights are shaped
+    to broadcast along `axis` of a 2-D image.
+    """
+    pos = np.clip((np.arange(target) + 0.5) * (n / target) - 0.5, 0, n - 1)
+    lo = pos.astype(int)
+    f = np.expand_dims(pos - lo, 1 - axis)
+    taps = (lo, np.minimum(lo + 1, n - 1), 1.0 - f, f)
+    for tap in taps:
+        tap.setflags(write=False)
+    return taps
+
+
 def upsample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Bilinear resize to an exact target shape (area-aligned sample centers).
 
     Separable: a two-tap pass along the rows, then one along the columns. Each
     pass clamps the sample positions to the source and blends the samples at
-    floor(pos) and the next one (clamped) with weights (1 - f, f).
+    floor(pos) and the next one (clamped) with weights (1 - f, f). The taps
+    come from `_bilinear_taps`; the blend multiplies and adds into the two
+    gathered copies, so `src` is never written to.
     """
     out = np.asarray(src, dtype=float)
     for axis, target in enumerate(shape):
-        n = out.shape[axis]
-        pos = np.clip((np.arange(target) + 0.5) * (n / target) - 0.5, 0, n - 1)
-        lo = pos.astype(int)
-        f = np.expand_dims(pos - lo, 1 - axis)
-        out = (1.0 - f) * out.take(lo, axis) + f * out.take(np.minimum(lo + 1, n - 1), axis)
+        lo, hi, w_lo, w_hi = _bilinear_taps(out.shape[axis], target, axis)
+        upper = out.take(hi, axis)
+        upper *= w_hi
+        out = out.take(lo, axis)
+        out *= w_lo
+        out += upper
     return out
 
 
@@ -132,7 +154,9 @@ def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float])
             raise ValueError(f"layer shapes {shapes} are not successive halvings")
     fused = weights[n - 1] * layers[n - 1]
     for j in range(n - 2, -1, -1):
-        fused = weights[j] * layers[j] + upsample_bilinear(fused, layers[j].shape)
+        coarse = upsample_bilinear(fused, layers[j].shape)
+        fused = weights[j] * layers[j]
+        fused += coarse
     return fused
 
 

@@ -126,6 +126,17 @@ class TestGenerate:
         assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1 and key in err
         assert not list(tmp_path.glob("*.mfl"))
 
+    # rules that `SynthSpec` checks itself, not the JSON value's type
+    @pytest.mark.parametrize("spec", [{"channel_count": 1e300}, {"rng_seed": -1}])
+    def test_spec_rule_refusal_names_the_file(self, spec, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"rope_length_m": 4.0, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250, **spec}))
+        code = main(["generate", str(spec_path), "--out", str(tmp_path / "r")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_PARSE and out == ""
+        assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1, err
+
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         code = main(["generate", "warp_ssr", "--out", str(tmp_path / "r")])
         assert code == EXIT_PARSE

@@ -5,6 +5,7 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from mflscan.enhance import (
+    _bilinear_taps,
     _maxima_mask,
     envelope,
     fuse,
@@ -251,6 +252,19 @@ class TestUpsampleBilinear:
                 rtol=0, atol=1e-12,
             )
 
+    def test_taps_are_read_only(self):
+        for axis, (n, target) in enumerate(((3, 6), (4, 8))):
+            for tap in _bilinear_taps(n, target, axis):
+                with pytest.raises(ValueError, match="read-only"):
+                    tap[0] = 0
+
+    def test_outputs_independent(self):
+        src = np.random.default_rng(2).uniform(0, 1, size=(5, 7))
+        first = upsample_bilinear(src, (10, 14))
+        want = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(upsample_bilinear(src, (10, 14)), want)
+
 
 class TestFuse:
     def _layers(self, seed=0, shape=(40, 40)):
@@ -314,6 +328,20 @@ class TestFuse:
             out = fuse((f1, f2, f3), (w1, (1 - w1) / 2, (1 - w1) / 2))
             values.append(out[20, 20])
         assert np.all(np.diff(values) >= -1e-12)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_inputs_untouched_and_outputs_independent(self, n_layers):
+        layers = self._layers(seed=9)[:n_layers]
+        weights = (0.5, 0.3, 0.2)[:n_layers] + (0.0,) * (3 - n_layers)
+        before = [f.tobytes() for f in layers]
+        for f in layers:
+            upsample_bilinear(f, (2 * f.shape[0] + 1, 2 * f.shape[1]))
+        first = fuse(layers, weights)
+        assert [f.tobytes() for f in layers] == before
+        want = first.copy()
+        first[:] = -1.0
+        assert np.array_equal(fuse(layers, weights), want)
+        assert [f.tobytes() for f in layers] == before
 
     def test_layers_not_halving_rejected(self):
         with pytest.raises(ValueError, match="successive halvings"):

@@ -27,7 +27,7 @@ from scipy.interpolate import CubicSpline
 from scipy.ndimage import correlate1d, find_objects, gaussian_filter1d, label
 
 from mflscan import pipeline, synth
-from mflscan.enhance import _maxima_mask, envelope, gamma_enhance
+from mflscan.enhance import _maxima_mask, envelope, fuse, gamma_enhance, upsample_bilinear
 from mflscan.ingest import (
     MflImage,
     MflRecord,
@@ -140,6 +140,30 @@ def gathered_envelope(enhanced):
     interp = np.interp(np.arange(rows.size * w, dtype=float), xp, fp).reshape(rows.size, w)
     out[rows] = np.maximum(interp, values, out=interp)
     return out
+
+
+def broadcast_upsample_bilinear(src, shape):
+    """The replaced `upsample_bilinear`: taps built on every call, each pass one
+    broadcast expression over fresh arrays."""
+    out = np.asarray(src, dtype=float)
+    for axis, target in enumerate(shape):
+        n = out.shape[axis]
+        pos = np.clip((np.arange(target) + 0.5) * (n / target) - 0.5, 0, n - 1)
+        lo = pos.astype(int)
+        f = np.expand_dims(pos - lo, 1 - axis)
+        out = (1.0 - f) * out.take(lo, axis) + f * out.take(np.minimum(lo + 1, n - 1), axis)
+    return out
+
+
+def broadcast_fuse(envelopes, weights):
+    """The replaced `fuse` blend on the replaced upsampler: G = w_j * F_j + up(G)
+    into a fresh array at each step."""
+    layers = [np.asarray(f, dtype=float) for f in envelopes]
+    n = len(layers)
+    fused = weights[n - 1] * layers[n - 1]
+    for j in range(n - 2, -1, -1):
+        fused = weights[j] * layers[j] + broadcast_upsample_bilinear(fused, layers[j].shape)
+    return fused
 
 
 def loop_wrap_merge(labeled, n_regions):
@@ -308,6 +332,47 @@ class TestEnvelope:
         out = envelope(enhanced)
         assert np.array_equal(out, gathered_envelope(enhanced))
         assert out is not enhanced
+
+
+class TestUpsampleBilinear:
+    # the pyramid's odd and even halvings undone, and one row or one pixel
+    @pytest.mark.parametrize("src_shape, shape", [((11, 30), (23, 61)), ((99, 66), (199, 133)),
+                                                  ((100, 100), (200, 200)), ((1, 1), (2, 2)),
+                                                  ((1, 5), (3, 11))])
+    def test_equals_broadcast_blend(self, src_shape, shape):
+        rng = np.random.default_rng(src_shape[0] * 1000 + src_shape[1])
+        for src in (mixed_magnitudes(rng, src_shape), rng.normal(size=src_shape) * 1e6):
+            got = upsample_bilinear(src, shape)
+            assert got.tobytes() == broadcast_upsample_bilinear(src, shape).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fuse_calls():
+    """The (envelopes, weights) of every `fuse` call the pipeline makes on the
+    golden set under every method."""
+    calls = []
+
+    def spy(envelopes, weights):
+        calls.append((envelopes, weights))
+        return fuse(envelopes, weights)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "fuse", spy)
+        for spec in scenario_presets().values():
+            for record, _ in make_eval_dataset(spec, 3, 7):
+                for method in METHODS:
+                    process_record(record, run=RunConfig(method))
+    return calls
+
+
+class TestFuse:
+    def test_equals_broadcast_blend_on_golden_set(self, fuse_calls):
+        layer_counts = set()
+        for envelopes, weights in fuse_calls:
+            layer_counts.add(len(envelopes))
+            got = fuse(envelopes, weights)
+            assert got.tobytes() == broadcast_fuse(envelopes, weights).tobytes(), weights
+        assert layer_counts == {1, 3}
 
 
 class TestWrapMerge:

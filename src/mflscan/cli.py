@@ -53,8 +53,9 @@ def _typed(cls, values: dict) -> dict:
 
 
 def load_config(path: Path | str) -> dict:
-    """The typed values a flat `key = value` config file sets; unknown keys are rejected."""
+    """The typed values a flat `key = value` config file sets; keys unknown or set twice fail."""
     values = {}
+    set_on = {}  # key -> the line that set it
     path = Path(path)
     for lineno, line in enumerate(formats.read_text(path).splitlines(), start=1):
         line = line.strip()
@@ -66,6 +67,9 @@ def load_config(path: Path | str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in set_on:
+            raise FormatError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values.update(_typed(CONFIG_KEYS[key], {key: raw.strip()}))
         except ValueError as exc:
@@ -77,6 +81,14 @@ def _sections(values: dict) -> list:
     """PreprocessConfig, AdaptiveConfig and RunConfig of the config values; each checks its own."""
     return [cls(**{key: value for key, value in values.items() if CONFIG_KEYS[key] is cls})
             for cls in CONFIG_SECTIONS]
+
+
+def _refuse_overwrite(outputs, inputs) -> None:
+    """Refuse, before any work, an `--out` path that is one of the input files."""
+    for out in map(Path, filter(None, outputs)):
+        for source in map(Path, filter(None, inputs)):
+            if out.exists() and source.exists() and out.samefile(source):
+                raise ConfigInvalid(f"--out {out} would overwrite the input {source}")
 
 
 def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
@@ -103,12 +115,14 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
 
 
 def cmd_generate(args) -> int:
-    spec = _load_spec(args.spec, args.seed)
-    record, flaws = generate(spec)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigInvalid(f"--seed {args.seed} must be >= 0")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     record_path = out.with_suffix(".mfl")
     truth_path = out.parent / (out.stem + "_truth.json")
+    _refuse_overwrite([record_path, truth_path], [args.spec])
+    record, flaws = generate(_load_spec(args.spec, args.seed))
+    out.parent.mkdir(parents=True, exist_ok=True)
     formats.write_record_binary(record_path, record)
     formats.write_ground_truth(truth_path, flaws)
     print(f"wrote {record_path} ({record.sample_count} samples) and {truth_path}")
@@ -124,6 +138,7 @@ def _run_record(args):
 
 
 def cmd_detect(args) -> int:
+    _refuse_overwrite([args.out], [args.record, args.config])
     record, (preprocess_cfg, adaptive_cfg, run), result = _run_record(args)
     out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
@@ -138,47 +153,33 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # a flag that the mode does not read is refused, not ignored
     if args.ablation:
-        unread = {"--det": args.det, "--kernel-size": args.kernel_size}
-        reason = "cannot be used with --ablation"
+        source, unread, reason = "record", ("det",), "cannot be used with --ablation"
     else:
-        unread = {"--record": args.record, "--config": args.config}
-        reason = "needs --ablation"
-    for flag, value in unread.items():
-        if value is not None:
-            raise ConfigInvalid(f"{flag} {reason}")
-    reports: dict[str, EvalReport] = {}
+        source, unread, reason = "det", ("record", "config"), "needs --ablation"
+    for name in unread:  # a flag that the mode does not read is refused, not ignored
+        if getattr(args, name) is not None:
+            raise ConfigInvalid(f"--{name} {reason}")
+    sources = getattr(args, source)
+    if not sources or len(sources) != len(args.truth):
+        raise ConfigInvalid(f"--{source} and --truth must be non-empty lists of equal length")
+    _refuse_overwrite([args.out], [*sources, *args.truth, args.config])
+    truths = [formats.read_ground_truth(path) for path in args.truth]
     if args.ablation:
-        if not args.record or len(args.record) != len(args.truth):
-            raise ConfigInvalid("--ablation needs --record and --truth lists of equal length")
         values = load_config(args.config) if args.config else {}
         if "method" in values:
             raise ConfigInvalid("method cannot be set with --ablation, which runs every method")
-        dataset = [
-            (formats.read_record(rec), formats.read_ground_truth(tru))
-            for rec, tru in zip(args.record, args.truth)
-        ]
+        dataset = list(zip(map(formats.read_record, sources), truths))
         sections = _sections(values)
-        for method in METHODS:
-            reports[method] = run_ablation(dataset, method, *sections)
+        reports = {method: run_ablation(dataset, method, *sections) for method in METHODS}
     else:
-        kernel_size = args.kernel_size
-        if kernel_size is None:
-            kernel_size = AdaptiveConfig().kernel_base
-        elif kernel_size < 1:
-            raise ConfigInvalid(f"--kernel-size {kernel_size} must be >= 1")
-        if not args.det or len(args.det) != len(args.truth):
-            raise ConfigInvalid("need --det and --truth lists of equal length")
         # a detections file does not record the method that wrote it
-        report = reports["detections"] = EvalReport()
-        for det_path, truth_path in zip(args.det, args.truth):
+        report = EvalReport()
+        for det_path, flaws in zip(sources, truths):
             f_spatial, detections = formats.read_detections(det_path)
-            truths = formats.read_ground_truth(truth_path)
-            report.add(*match_detections(detections, truths, f_spatial, kernel_size))
-    table = format_report_table(reports)
-    print(table)
-    if args.out:
+            report.add(*match_detections(detections, flaws, f_spatial))
+        reports = {"detections": report}
+    if args.out:  # written before the table is printed, so a refused run prints nothing
         payload = {
             "schema_version": formats.SCHEMA_VERSION,
             "reports": {
@@ -193,6 +194,7 @@ def cmd_evaluate(args) -> int:
             },
         }
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    print(format_report_table(reports))
     return EXIT_OK
 
 
@@ -239,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--ablation", action="store_true",
                         help="re-run the pipeline with all three methods")
     p_eval.add_argument("--config", help="config file (with --ablation)")
-    p_eval.add_argument("--kernel-size", type=int,
-                        help=f"default {AdaptiveConfig().kernel_base} (without --ablation)")
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 

@@ -19,20 +19,29 @@ from .synth import GroundTruthFlaw
 MAGIC = b"MFL1"
 SCHEMA_VERSION = 1
 
-NUMBER_RULES = {  # JSON key -> (rule, test) of the keys whose numbers have a range
-    "f_spatial": ("finite and > 0", lambda x: x > 0),
-    "extent_m": ("finite and >= 0", lambda x: x >= 0),
+# (text, test) of the range rule of a JSON number, which must also be finite
+FINITE = ("finite", lambda x: True)
+POSITIVE = ("finite and > 0", lambda x: x > 0)
+NON_NEGATIVE = ("finite and >= 0", lambda x: x >= 0)
+
+# truth-file key -> (GroundTruthFlaw field, required, range), in the order a truth file lists them
+TRUTH_KEYS = {
+    "axial_m": ("axial_position_m", True, FINITE),
+    "extent_m": ("axial_extent_m", True, NON_NEGATIVE),
+    "channel": ("radial_center_channel", False, FINITE),
+    "spread_channels": ("radial_spread_channels", False, FINITE),
+    "amplitude": ("amplitude", True, FINITE),
 }
 
 
-def _number(key: str, value) -> float:
-    """`value` of JSON key `key` as a finite float within its rule, or a ValueError naming it."""
+def _number(key: str, value, rule=FINITE) -> float:
+    """`value` of JSON key `key` as a finite float within `rule`, or a ValueError naming it."""
     if isinstance(value, bool):  # float(True) is 1.0, but a JSON `true` is not a number
         raise ValueError(f"{key} must be a number, not {value!r}")
     number = float(value)
-    rule, test = NUMBER_RULES.get(key, ("finite", lambda x: True))
+    text, test = rule
     if not (math.isfinite(number) and test(number)):
-        raise ValueError(f"{key} must be {rule}, not {value!r}")
+        raise ValueError(f"{key} must be {text}, not {value!r}")
     return number
 
 
@@ -169,34 +178,22 @@ def write_pgm(path: Path | str, image: np.ndarray):
 def write_ground_truth(path: Path | str, flaws: list[GroundTruthFlaw]):
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "flaws": [
-            {
-                "axial_m": flaw.axial_position_m,
-                "extent_m": flaw.axial_extent_m,
-                "channel": flaw.radial_center_channel,
-                "spread_channels": flaw.radial_spread_channels,
-                "amplitude": flaw.amplitude,
-            }
-            for flaw in flaws
-        ],
+        "flaws": [{key: getattr(flaw, field) for key, (field, *_) in TRUTH_KEYS.items()}
+                  for flaw in flaws],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
+    """The flaws of a truth file; an omitted optional key takes the `GroundTruthFlaw` default."""
     path = Path(path)
     try:
         payload = json.loads(read_text(path))
         _check_version(payload)
         return [
-            GroundTruthFlaw(
-                axial_position_m=_number("axial_m", entry["axial_m"]),
-                axial_extent_m=_number("extent_m", entry["extent_m"]),
-                radial_center_channel=_number("channel", entry.get("channel", 8.0)),
-                radial_spread_channels=_number("spread_channels",
-                                               entry.get("spread_channels", 2.0)),
-                amplitude=_number("amplitude", entry["amplitude"]),
-            )
+            GroundTruthFlaw(**{field: _number(key, entry[key], rule)
+                               for key, (field, required, rule) in TRUTH_KEYS.items()
+                               if required or key in entry})
             for entry in payload["flaws"]
         ]
     except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
@@ -242,6 +239,6 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
                 axial_start_m=start,
                 axial_end_m=end,
             ))
-        return _number("f_spatial", payload["f_spatial"]), detections
+        return _number("f_spatial", payload["f_spatial"], POSITIVE), detections
     except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
         raise FormatError(f"{path}: bad detections file: {exc}") from exc

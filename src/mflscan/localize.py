@@ -55,7 +55,7 @@ def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
     white regions, at least 1, since the peak pixel passes every threshold.
     The chosen threshold is the midpoint of the longest contiguous plateau of
     constant region count; ties break toward the higher plateau. An all-zero
-    image yields an empty scan with sentinel 1.0.
+    image or an empty grid yields an empty scan with sentinel 1.0.
 
     The scan runs from the top threshold down, so the passes over the small
     windows of high thresholds come first. It keeps the longest closed
@@ -68,12 +68,13 @@ def adaptive_threshold(norm: np.ndarray, step: float) -> ThresholdScan:
     shorter still, so neither can beat L. The choice is therefore that of
     the full sweep. A step s makes at most ceil(1/s) - 1 label passes.
     """
-    if not norm.any():
+    # rounding can lift the last multiple of the step to 1.0, which is not < 1
+    grid = [t for i in range(math.ceil(1.0 / step) - 1) if (t := round((i + 1) * step, 12)) < 1]
+    if not (grid and norm.any()):
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     # imported here, not at module level, so that commands which never label start without scipy
     from scipy.ndimage import label
-    count = int(math.ceil(1.0 / step)) - 1
-    grid = [round((i + 1) * step, 12) for i in range(count)]
+    count = len(grid)
     # every pixel >= t lies in the window from the first to the last row and
     # column whose peak reaches t, so labeling the window alone counts the
     # same regions as labeling the whole image

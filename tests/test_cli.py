@@ -70,6 +70,13 @@ class TestLoadConfig:
         with pytest.raises(FormatError, match="learning_rate"):
             load_config(path)
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        # the first value, invalid on its own, used to be dropped without a word
+        path = tmp_path / "run.cfg"
+        path.write_text("gamma = 0\n# comment\ngamma = 2\n")
+        with pytest.raises(FormatError, match=rf"^{path}:3: key 'gamma' is already set on line 1$"):
+            load_config(path)
+
     def test_malformed_line_names_lineno(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("gamma = 2\nnot a key value line\n")
@@ -136,6 +143,25 @@ class TestGenerate:
         out, err = capsys.readouterr()
         assert code == EXIT_PARSE and out == ""
         assert err.startswith(f"error: {spec_path}: ") and err.count("\n") == 1, err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = main(["generate", "low_ssr", "--seed", "-1", "--out", str(tmp_path / "r")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --seed") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_out_over_the_spec_is_refused(self, tmp_path, capsys):
+        spec = tmp_path / "x_truth.json"
+        spec.write_text(json.dumps(
+            {"rope_length_m": 4.0, "inspection_speed_mps": 0.5, "sampling_rate_hz": 250}))
+        before = spec.read_bytes()
+        code = main(["generate", str(spec), "--out", str(tmp_path / "x")])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert spec.read_bytes() == before
+        assert not (tmp_path / "x.mfl").exists()
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         code = main(["generate", "warp_ssr", "--out", str(tmp_path / "r")])
@@ -263,6 +289,19 @@ class TestDetect:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: cannot write: ")
         assert dumped.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("target", ["record", "config"])
+    def test_out_over_an_input_is_refused(self, target, optimal_record, tmp_path, capsys):
+        record, cfg = tmp_path / "rope.mfl", tmp_path / "run.cfg"
+        record.write_bytes(optimal_record.read_bytes())
+        cfg.write_text("gamma = 2\n")
+        out = record if target == "record" else cfg
+        before = out.read_bytes()
+        code = main(["detect", str(record), "--config", str(cfg), "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert out.read_bytes() == before
 
     def test_corrupt_record_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfl"
@@ -435,8 +474,7 @@ class TestEvaluate:
         main(["detect", str(tmp_path / "rope.mfl"), "--out", str(tmp_path / "d.json")])
         capsys.readouterr()
         code = main(["evaluate", "--det", str(tmp_path / "d.json"),
-                     "--truth", str(tmp_path / "rope_truth.json"),
-                     "--kernel-size", "9"])
+                     "--truth", str(tmp_path / "rope_truth.json")])
         assert code == EXIT_OK
         table = capsys.readouterr().out
         assert "Precision" in table
@@ -475,7 +513,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("flag, mode", [
         ("--config", "det"), ("--record", "det"),
-        ("--det", "ablation"), ("--kernel-size", "ablation"),
+        ("--det", "ablation"),
     ])
     def test_flag_the_mode_does_not_read_is_usage_error(self, flag, mode, optimal_record,
                                                         tmp_path, capsys):
@@ -485,7 +523,7 @@ class TestEvaluate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 2\n")
         values = {"--config": [str(cfg)], "--record": [str(optimal_record)],
-                  "--det": [str(det)], "--kernel-size": ["9"]}
+                  "--det": [str(det)]}
         source = (["--det", str(det)] if mode == "det"
                   else ["--ablation", "--record", str(optimal_record)])
         report = tmp_path / "report.json"
@@ -498,19 +536,48 @@ class TestEvaluate:
         assert out == ""
         assert not report.exists()
 
-    @pytest.mark.parametrize("size", ["0", "-1", "-1000"])
-    def test_kernel_size_below_one_is_usage_error(self, size, optimal_record, tmp_path,
-                                                  capsys):
+    def test_kernel_size_is_not_a_flag(self, optimal_record, tmp_path, capsys):
+        # the match tolerance is kernel_base samples, the default of match_detections
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--det", str(det),
+                  "--truth", str(optimal_record.parent / "rope_truth.json"),
+                  "--kernel-size", "9"])
+        assert exit_info.value.code == EXIT_USAGE
+
+    # (mode, input that --out names): the output may not replace any input file
+    @pytest.mark.parametrize("mode, target", [
+        ("det", "truth"), ("det", "det"), ("ablation", "truth"), ("ablation", "record"),
+    ])
+    def test_out_over_an_input_is_refused(self, mode, target, optimal_record, tmp_path,
+                                          capsys):
+        truth = tmp_path / "truth.json"
+        truth.write_bytes((optimal_record.parent / "rope_truth.json").read_bytes())
+        record = tmp_path / "rope.mfl"
+        record.write_bytes(optimal_record.read_bytes())
+        det = tmp_path / "d.json"
+        main(["detect", str(record), "--out", str(det)])
+        inputs = {"truth": truth, "det": det, "record": record}
+        before = {path: path.read_bytes() for path in inputs.values()}
+        source = ["--det", str(det)] if mode == "det" else ["--ablation", "--record", str(record)]
+        capsys.readouterr()
+        code = main(["evaluate", *source, "--truth", str(truth), "--out", str(inputs[target])])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --out ") and err.count("\n") == 1
+        assert {path: path.read_bytes() for path in inputs.values()} == before
+
+    def test_unwritable_out_prints_no_table(self, optimal_record, tmp_path, capsys):
         det = tmp_path / "d.json"
         main(["detect", str(optimal_record), "--out", str(det)])
         capsys.readouterr()
         code = main(["evaluate", "--det", str(det),
                      "--truth", str(optimal_record.parent / "rope_truth.json"),
-                     "--kernel-size", size])
+                     "--out", str(tmp_path / "missing" / "r.json")])
         out, err = capsys.readouterr()
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and err.count("\n") == 1 and "--kernel-size" in err
-        assert out == ""
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: cannot write: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("ablation", [False, True], ids=("det", "ablation"))
     def test_wrongly_typed_truth_field_is_parse_error(self, ablation, optimal_record,

@@ -187,8 +187,6 @@ def test_bad_truth_and_detections_json(rope, capsys):
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         cases.append((f"det {name}", ["evaluate", "--det", path, "--truth", rope["truth"]]))
     check_all(cases, capsys, expect=(3,))  # every bad truth or detections file is a parse error
-    check_all([(f"kernel {size}", ["evaluate", "--det", rope["det"], "--truth", rope["truth"],
-                                   "--kernel-size", size]) for size in ("0", "-1000")], capsys)
 
 
 def test_hostile_spec_values(rope, capsys):

@@ -173,8 +173,19 @@ class TestGroundTruthJson:
             {"axial_m": "1.5", "extent_m": 2, "amplitude": "0.5"}
         ]}))
         (flaw,) = formats.read_ground_truth(path)
-        assert (flaw.axial_position_m, flaw.axial_extent_m, flaw.amplitude) == (1.5, 2.0, 0.5)
+        # the omitted channel and spread_channels take the GroundTruthFlaw defaults
+        assert flaw == GroundTruthFlaw(axial_position_m=1.5, axial_extent_m=2.0, amplitude=0.5)
         assert isinstance(flaw.axial_extent_m, float)
+
+    @pytest.mark.parametrize("key", ["axial_m", "extent_m", "amplitude"])
+    def test_required_key_missing_rejected(self, tmp_path, key):
+        path = tmp_path / "truth.json"
+        formats.write_ground_truth(path, [GroundTruthFlaw(axial_position_m=1.0)])
+        payload = json.loads(path.read_text())
+        del payload["flaws"][0][key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"bad ground-truth file: '{key}'"):
+            formats.read_ground_truth(path)
 
 
 def detections_with(tmp_path, field, value):

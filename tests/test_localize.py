@@ -68,7 +68,7 @@ def components(binary, min_area_px=4, intensity=None, origin_sample=0, f_spatial
 
 def grid_top(step, passes):
     """The top `passes` thresholds of the scan's grid {step, 2*step, ...} < 1, ascending."""
-    grid = [round((i + 1) * step, 12) for i in range(int(np.ceil(1 / step)) - 1)]
+    grid = [t for i in range(int(np.ceil(1 / step)) - 1) if (t := round((i + 1) * step, 12)) < 1]
     return tuple(grid[len(grid) - passes:])
 
 
@@ -174,6 +174,20 @@ class TestAdaptiveThreshold:
                 scan = adaptive_threshold(normalized(img), step)
                 norm = img / img.max()
                 assert scan.region_counts == naive_region_counts(norm, scan.thresholds)
+
+    # for these steps the last multiple below 1 rounds to 1.0 at 12 places
+    @pytest.mark.parametrize("step", [1 / 49, 1 / 98])
+    def test_grid_stays_below_one(self, step):
+        img = np.zeros((10, 10))
+        img[2:4, 2:4] = 1.0
+        img[6:8, 6:8] = 0.5
+        scan = adaptive_threshold(normalized(img), step)
+        assert scan.thresholds[-1] < 1
+
+    def test_step_with_no_threshold_below_one_gives_empty_scan(self):
+        # RunConfig admits 1 - 1e-13, whose only multiple rounds to 1.0 at 12 places
+        scan = adaptive_threshold(normalized(planted_blobs(1.0)), 1 - 1e-13)
+        assert (scan.thresholds, scan.chosen_threshold) == ((), 1.0)
 
     def test_thresholds_strictly_increasing(self):
         img = np.zeros((10, 10))

@@ -228,7 +228,7 @@ def full_sweep_adaptive_threshold(norm, step):
     if not norm.any():
         return ThresholdScan(thresholds=(), region_counts=(), chosen_threshold=1.0)
     count = int(math.ceil(1.0 / step)) - 1
-    thresholds = [round((i + 1) * step, 12) for i in range(count)]
+    thresholds = [t for i in range(count) if (t := round((i + 1) * step, 12)) < 1]
     levels = np.array(thresholds)[:, None]
     r0, r1 = _hit_span(norm.max(axis=1) >= levels)
     c0, c1 = _hit_span(norm.max(axis=0) >= levels)

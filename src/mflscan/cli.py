@@ -118,6 +118,8 @@ def cmd_generate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigInvalid(f"--seed {args.seed} must be >= 0")
     out = Path(args.out)
+    if not out.name:  # ".", "" and "/" name a directory, not a basename
+        raise ConfigInvalid(f"--out {args.out!r} names no file")
     record_path = out.with_suffix(".mfl")
     truth_path = out.parent / (out.stem + "_truth.json")
     _refuse_overwrite([record_path, truth_path], [args.spec])

@@ -151,6 +151,14 @@ class TestGenerate:
         assert err.startswith("error: --seed") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    def test_out_without_a_name_is_usage_error(self, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        code = main(["generate", "optimal_ssr", "--out", out])
+        assert code == EXIT_USAGE and capsys.readouterr() == (
+            "", f"error: --out {out!r} names no file\n")
+        assert not list(tmp_path.iterdir())
+
     def test_out_over_the_spec_is_refused(self, tmp_path, capsys):
         spec = tmp_path / "x_truth.json"
         spec.write_text(json.dumps(

@@ -1,17 +1,23 @@
-"""Methods as data: the method table, layer skipping, the μ = 1 limit, and record memory."""
+"""Methods as data: the method table, layer skipping, the μ = 1 limit, record
+memory, and a record's segments in forked ranges."""
 
+import os
 import resource
+import signal
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from mflscan import pipeline, pyramid
+from mflscan import cli, pipeline, pyramid
+from mflscan.cli import EXIT_USAGE
 from mflscan.errors import ConfigInvalid
+from mflscan.formats import write_record_binary
 from mflscan.ingest import PreprocessConfig, preprocess
 from mflscan.pipeline import (METHODS, RunConfig, method_plan, process_record, process_segment,
-                              segment_stages)
+                              segment_ranges, segment_stages)
 from mflscan.ssr import AdaptiveConfig, build_context
 from mflscan.synth import generate, scenario_presets
 
@@ -194,19 +200,33 @@ class TestLayerSkipping:
         assert adaptive.chosen_thresholds == single.chosen_thresholds
 
 
-def test_record_memory_holds_no_record_sized_array():
+def high_ssr_rope(segments):
+    """A high_ssr rope of `segments` segments and a 150-sample tail."""
+    preset = scenario_presets()["high_ssr"]
+    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
+    assert record.sample_count // 200 == segments
+    return record
+
+
+def usable_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("cores", [None, 1], ids=["usable-cores", "one-core"])
+def test_record_memory_holds_no_record_sized_array(cores, monkeypatch):
     # high_ssr ropes of 50 and 400 segments with a 150-sample tail, each built
     # before tracing. Processing holds one segment's working set, within
     # criterion 7's 4 MiB, where the 50-segment M x H strip alone would need
     # about 16 MB. Each segment is detrended from its own window and halo, so
     # a rope 8 x longer adds only its results; an M x N copy of the record
-    # would add 8.5 MiB from 50 to 400 segments
-    preset = scenario_presets()["high_ssr"]
-    f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+    # would add 8.5 MiB from 50 to 400 segments. On more than one core the
+    # bounds hold for this process, which runs the first range and joins the rest
+    if cores:
+        usable_cores(monkeypatch, cores)
     peaks = []
     for segments in (50, 400):
-        record, _ = generate(replace(preset, rope_length_m=(segments * 200 + 150.5) / f_spatial))
-        assert record.sample_count // 200 == segments
+        record = high_ssr_rope(segments)
         if not peaks:
             process_record(record)  # warm-up
         tracemalloc.start()
@@ -230,3 +250,168 @@ def test_streamed_segments_keep_their_heap(optimal):
         process_record(record)
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5
     assert faults < 500
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch) -> list:
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.fixture(scope="module")
+def long_rope():
+    return high_ssr_rope(50)
+
+
+class TestSegmentRanges:
+    def test_contiguous_ranges_of_at_least_min_range(self, monkeypatch):
+        usable_cores(monkeypatch, 4)
+        assert segment_ranges(50) == [range(0, 12), range(12, 25), range(25, 37), range(37, 50)]
+        assert segment_ranges(11) == [range(0, 5), range(5, 11)]
+        assert segment_ranges(7) == [range(0, 7)]
+
+    def test_one_range_beside_other_threads(self, monkeypatch):
+        usable_cores(monkeypatch, 4)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert segment_ranges(50) == [range(0, 50)]
+        finally:
+            release.set()
+            thread.join()
+
+    def test_short_record_never_forks(self, optimal, monkeypatch):
+        record, _, _ = optimal
+        assert record.sample_count // 200 == 4
+        usable_cores(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        process_record(record)
+        assert forks == []
+
+
+def test_forked_ranges_give_the_serial_bytes(long_rope, tmp_path, monkeypatch):
+    # one child per range after the first; detections, thresholds and the
+    # `detect` JSON bytes are those of the one-core run
+    path = tmp_path / "long.mfl"
+    write_record_binary(path, long_rope)
+    runs = {}
+    for cores in (1, 2, 4):
+        usable_cores(monkeypatch, cores)
+        forks = count_forks(monkeypatch)
+        result = process_record(long_rope)
+        out = tmp_path / f"{cores}.json"
+        assert cli.main(["detect", str(path), "--out", str(out)]) == 0
+        assert len(forks) == 2 * (cores - 1)
+        assert_no_children()
+        runs[cores] = (result.detections, result.chosen_thresholds, out.read_bytes())
+    assert runs[1][0]
+    assert runs[2] == runs[1]
+    assert runs[4] == runs[1]
+
+
+def failing_at(monkeypatch, failures, error=ConfigInvalid):
+    """Make `process_segment` raise `error` on the segment indices `failures`."""
+    segment = pipeline.process_segment
+
+    def process(image, *args):
+        if image.segment_index in failures:
+            raise error(f"segment {image.segment_index} failed")
+        return segment(image, *args)
+
+    monkeypatch.setattr(pipeline, "process_segment", process)
+
+
+class TestForkFailures:
+    # 4 usable cores split 50 segments into indices 1-12, 13-25, 26-37, 38-50
+
+    @pytest.mark.parametrize("failures", [{1}, {13}, {26}, {50}, {20, 40}, {3, 30}])
+    def test_raise_in_any_range_is_the_serial_exception(self, long_rope, monkeypatch, failures):
+        failing_at(monkeypatch, failures)
+        usable_cores(monkeypatch, 1)
+        with pytest.raises(ConfigInvalid) as serial:
+            process_record(long_rope)
+        usable_cores(monkeypatch, 4)
+        with pytest.raises(ConfigInvalid) as forked:
+            process_record(long_rope)
+        assert str(forked.value) == str(serial.value) == f"segment {min(failures)} failed"
+        assert_no_children()
+
+    @pytest.mark.parametrize("error, message", [(ConfigInvalid, "error: segment 30 failed\n"),
+                                                (MemoryError, "error: out of memory: segment 30 "
+                                                              "failed\n")])
+    def test_child_error_exits_as_a_serial_run(self, long_rope, tmp_path, monkeypatch, capsys,
+                                               error, message):
+        path = tmp_path / "long.mfl"
+        write_record_binary(path, long_rope)
+        failing_at(monkeypatch, {30}, error)
+        usable_cores(monkeypatch, 2)
+        assert cli.main(["detect", str(path), "--out", str(tmp_path / "d.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "d.json").exists()
+        assert_no_children()
+
+    def test_parent_raise_beside_a_full_pipe_returns(self, long_rope, monkeypatch):
+        # each child's outcome is far above the 64 KiB pipe buffer, so the
+        # child blocks writing until it is killed
+        parent, segment = os.getpid(), pipeline.process_segment
+
+        def process(image, *args):
+            if os.getpid() == parent:
+                raise ConfigInvalid("parent failed")
+            return [b"\0" * 2**20], segment(image, *args)[1]
+
+        def hung(signum, frame):
+            raise TimeoutError("process_record hangs")
+
+        monkeypatch.setattr(pipeline, "process_segment", process)
+        usable_cores(monkeypatch, 4)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(ConfigInvalid, match="parent failed"):
+                process_record(long_rope)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_children()
+
+    def test_fork_that_fails_has_its_range_run_here(self, long_rope, monkeypatch):
+        usable_cores(monkeypatch, 1)
+        serial = process_record(long_rope)
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        usable_cores(monkeypatch, 4)
+        result = process_record(long_rope)
+        assert (result.detections, result.chosen_thresholds) == (
+            serial.detections, serial.chosen_thresholds)
+
+    def test_killed_child_has_its_range_run_here(self, long_rope, monkeypatch):
+        usable_cores(monkeypatch, 1)
+        serial = process_record(long_rope)
+        parent, segment = os.getpid(), pipeline.process_segment
+
+        def process(image, *args):
+            if os.getpid() != parent and image.segment_index > 37:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return segment(image, *args)
+
+        monkeypatch.setattr(pipeline, "process_segment", process)
+        usable_cores(monkeypatch, 4)
+        result = process_record(long_rope)
+        assert (result.detections, result.chosen_thresholds) == (
+            serial.detections, serial.chosen_thresholds)
+        assert_no_children()

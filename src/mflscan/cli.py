@@ -83,6 +83,14 @@ def _sections(values: dict) -> list:
             for cls in CONFIG_SECTIONS]
 
 
+def _out_file(out: str) -> Path:
+    """`--out` as a path; refused when it names no file ("", "." or "/" name a directory)."""
+    path = Path(out)
+    if not path.name:
+        raise ConfigInvalid(f"--out {out!r} names no file")
+    return path
+
+
 def _refuse_overwrite(outputs, inputs) -> None:
     """Refuse, before any work, an `--out` path that is one of the input files."""
     for out in map(Path, filter(None, outputs)):
@@ -117,9 +125,7 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
 def cmd_generate(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise ConfigInvalid(f"--seed {args.seed} must be >= 0")
-    out = Path(args.out)
-    if not out.name:  # ".", "" and "/" name a directory, not a basename
-        raise ConfigInvalid(f"--out {args.out!r} names no file")
+    out = _out_file(args.out)
     record_path = out.with_suffix(".mfl")
     truth_path = out.parent / (out.stem + "_truth.json")
     _refuse_overwrite([record_path, truth_path], [args.spec])
@@ -140,9 +146,11 @@ def _run_record(args):
 
 
 def cmd_detect(args) -> int:
-    _refuse_overwrite([args.out], [args.record, args.config])
+    source = Path(args.record)  # the default output is <stem>.detections.json beside it
+    out = (source.parent / (source.stem + ".detections.json") if args.out is None
+           else _out_file(args.out))
+    _refuse_overwrite([out], [args.record, args.config])
     record, (preprocess_cfg, adaptive_cfg, run), result = _run_record(args)
-    out = Path(args.out) if args.out else Path(args.record).with_suffix(".detections.json")
     formats.write_detections(out, record.label, result.context.f_spatial, result.detections)
     print(f"wrote {out} ({len(result.detections)} detections)")
     if args.dump_stages:  # only once the detections are written, so a failed run dumps nothing
@@ -165,7 +173,8 @@ def cmd_evaluate(args) -> int:
     sources = getattr(args, source)
     if not sources or len(sources) != len(args.truth):
         raise ConfigInvalid(f"--{source} and --truth must be non-empty lists of equal length")
-    _refuse_overwrite([args.out], [*sources, *args.truth, args.config])
+    out = None if args.out is None else _out_file(args.out)
+    _refuse_overwrite([out], [*sources, *args.truth, args.config])
     truths = [formats.read_ground_truth(path) for path in args.truth]
     if args.ablation:
         values = load_config(args.config) if args.config else {}
@@ -181,7 +190,7 @@ def cmd_evaluate(args) -> int:
             f_spatial, detections = formats.read_detections(det_path)
             report.add(*match_detections(detections, flaws, f_spatial))
         reports = {"detections": report}
-    if args.out:  # written before the table is printed, so a refused run prints nothing
+    if out:  # written before the table is printed, so a refused run prints nothing
         payload = {
             "schema_version": formats.SCHEMA_VERSION,
             "reports": {
@@ -195,7 +204,7 @@ def cmd_evaluate(args) -> int:
                 for name, rep in reports.items()
             },
         }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        out.write_text(json.dumps(payload, indent=2) + "\n")
     print(format_report_table(reports))
     return EXIT_OK
 

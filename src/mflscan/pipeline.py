@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .enhance import enhance_layer, fuse, peak_normalize
 from .errors import ConfigInvalid
-from .ingest import MflImage, MflRecord, PreprocessConfig, Segments, preprocess
+from .ingest import MflImage, MflRecord, PreprocessConfig, preprocess
 from .localize import Detection, adaptive_threshold, binarize, extract_components
 from .pyramid import build_pyramid, build_template, match
 from .ssr import AdaptiveConfig, SsrContext, build_context
@@ -176,80 +176,70 @@ def segment_ranges(count: int) -> list[range]:
     return [range(count * r // parts, count * (r + 1) // parts) for r in range(parts)]
 
 
-def _run_range(images: Segments, segments: range, *args) -> list:
-    return [process_segment(images[i], *args) for i in segments]
+def _fork_range(segment, segments: range):
+    """A child that pickles `[segment(i) for i in segments]` into a pipe: (pid, read end).
 
-
-def _fork_range(images: Segments, segments: range, *args):
-    """A child that runs `segments` and pickles its outcome into a pipe: (pid, read end).
-
-    The outcome is (True, the list of `process_segment` results) or (False,
-    the exception). The child leaves by `os._exit`, so it never returns into
-    the caller's stack. On an interrupt, or an outcome it cannot pickle or
-    write, it exits with 1 and its outcome does not count. Returns
-    (None, None) when no child can be started.
+    The child sends that list or nothing: on any failure it exits with 1. It
+    leaves by `os._exit`, so it never returns into the caller's stack. Raises
+    OSError, with no descriptor left open, when no pipe or no child can be made.
     """
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except BaseException:
         os.close(read_fd)
         os.close(write_fd)
-        return None, None
+        raise
     if pid:
         os.close(write_fd)
         return pid, open(read_fd, "rb")
     code = 1
     try:
         os.close(read_fd)
-        try:
-            outcome = (True, _run_range(images, segments, *args))
-        except Exception as exc:
-            outcome = (False, exc)
+        results = [segment(i) for i in segments]
         with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
         os._exit(code)
 
 
-def _run_ranges(images: Segments, ranges: list[range], *args) -> list:
-    """`process_segment` over every range, in segment order.
+def _run_ranges(segment, ranges: list[range]) -> list:
+    """`segment(i)` over every range, in segment order.
 
     Each range after the first runs in a forked child, which shares the
-    record copy-on-write and runs the same code on the same bytes; this
-    process runs the first range, then reads each child's outcome in order.
-    A child's exception is raised here. A child that left no outcome (one
-    that could not start, or was killed) has its range run here. On any
-    error here, every child still running is killed and reaped before the
+    record copy-on-write and sends back the list of its results, or nothing.
+    This process runs the first range, then reads each child's list in order.
+    A range whose child sends nothing (it could not start, raised or was
+    killed) runs here, so an error is the one a serial run raises, at the
+    same segment. Every child still unreaped is killed and reaped before any
     error propagates, so no process outlives the call.
     """
-    children = [_fork_range(images, segments, *args) for segments in ranges[1:]]
+    children = [None] * len(ranges)  # (pid, read end) of each unreaped child
     try:
-        results = _run_range(images, ranges[0], *args)
-        for k, segments in enumerate(ranges[1:]):
-            pid, pipe = children[k]
-            outcome = None
-            if pid is not None:
+        for k in range(1, len(ranges)):
+            try:
+                children[k] = _fork_range(segment, ranges[k])
+            except OSError:  # no pipe or no fork: the range runs here
+                pass
+        results = []
+        for k, segments in enumerate(ranges):
+            sent = None
+            if children[k]:
+                pid, pipe = children[k]
                 with pipe:
                     payload = pipe.read()
                 _, status = os.waitpid(pid, 0)
-                children[k] = (None, None)
+                children[k] = None
                 if os.waitstatus_to_exitcode(status) == 0:
-                    outcome = pickle.loads(payload)
-            if outcome is None:
-                outcome = (True, _run_range(images, segments, *args))
-            done, value = outcome
-            if not done:
-                raise value
-            results.extend(value)
+                    sent = pickle.loads(payload)
+            results.extend([segment(i) for i in segments] if sent is None else sent)
         return results
     finally:
-        for pid, pipe in children:
-            if pid is not None:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid, pipe in filter(None, children):
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def process_record(
@@ -269,8 +259,11 @@ def process_record(
     kernel_size, weights = method_plan(context, adaptive_cfg, shape, run)
     images = preprocess(record, preprocess_cfg)
     result = PipelineResult([], context, kernel_size, weights)
-    ranges = segment_ranges(len(images))
-    for detections, threshold in _run_ranges(images, ranges, context, adaptive_cfg, run):
+
+    def segment(i):
+        return process_segment(images[i], context, adaptive_cfg, run)
+
+    for detections, threshold in _run_ranges(segment, segment_ranges(len(images))):
         result.detections.extend(detections)
         result.chosen_thresholds.append(threshold)
     return result

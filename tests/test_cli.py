@@ -311,6 +311,27 @@ class TestDetect:
         assert err.startswith("error: --out ") and err.count("\n") == 1
         assert out.read_bytes() == before
 
+    def test_default_out_over_the_config_is_refused(self, optimal_record, tmp_path, capsys):
+        # without --out the detections go to <stem>.detections.json, here the config
+        record, cfg = tmp_path / "rope.mfl", tmp_path / "rope.detections.json"
+        record.write_bytes(optimal_record.read_bytes())
+        cfg.write_text("gamma = 2\n")
+        code = main(["detect", str(record), "--config", str(cfg)])
+        assert code == EXIT_USAGE and capsys.readouterr() == (
+            "", f"error: --out {cfg} would overwrite the input {cfg}\n")
+        assert cfg.read_text() == "gamma = 2\n"
+
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    def test_out_without_a_name_is_usage_error(self, optimal_record, tmp_path, capsys,
+                                               monkeypatch, out):
+        record = tmp_path / "rope.mfl"
+        record.write_bytes(optimal_record.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code = main(["detect", "rope.mfl", "--out", out])
+        assert code == EXIT_USAGE and capsys.readouterr() == (
+            "", f"error: --out {out!r} names no file\n")
+        assert list(tmp_path.iterdir()) == [record]
+
     def test_corrupt_record_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mfl"
         bad.write_bytes(b"MFL1" + b"\x01" * 10)
@@ -575,6 +596,19 @@ class TestEvaluate:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: --out ") and err.count("\n") == 1
         assert {path: path.read_bytes() for path in inputs.values()} == before
+
+    @pytest.mark.parametrize("out", [".", "", "/"])
+    def test_out_without_a_name_is_usage_error(self, optimal_record, tmp_path, capsys,
+                                               monkeypatch, out):
+        det = tmp_path / "d.json"
+        main(["detect", str(optimal_record), "--out", str(det)])
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = main(["evaluate", "--det", "d.json",
+                     "--truth", str(optimal_record.parent / "rope_truth.json"), "--out", out])
+        assert code == EXIT_USAGE and capsys.readouterr() == (
+            "", f"error: --out {out!r} names no file\n")
+        assert list(tmp_path.iterdir()) == [det]
 
     def test_unwritable_out_prints_no_table(self, optimal_record, tmp_path, capsys):
         det = tmp_path / "d.json"

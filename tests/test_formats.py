@@ -61,6 +61,18 @@ class TestCsvRecord:
         assert np.allclose(back.samples, record.samples)
         assert back.sampling_rate_hz == record.sampling_rate_hz
 
+    def test_blank_lines_are_skipped(self, tmp_path, record):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        formats.write_record_csv(plain, record)
+        header, *rows = plain.read_text().splitlines(keepends=True)
+        spaced.write_text(header + rows[0] + "\n  \t\n" + "".join(rows[1:-1]) + "\n"
+                          + rows[-1] + " \n\n")
+        back, expected = formats.read_record_csv(spaced), formats.read_record_csv(plain)
+        assert back.samples.tobytes() == expected.samples.tobytes()
+        assert back.samples.shape == expected.samples.shape == record.samples.shape
+        assert (back.sampling_rate_hz, back.inspection_speed_mps) == (
+            expected.sampling_rate_hz, expected.inspection_speed_mps)
+
     def test_missing_header_names_line(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text("1.0,2.0\n")

@@ -1,6 +1,7 @@
 """Methods as data: the method table, layer skipping, the μ = 1 limit, record
 memory, and a record's segments in forked ranges."""
 
+import errno
 import os
 import resource
 import signal
@@ -23,6 +24,14 @@ from mflscan.synth import generate, scenario_presets
 
 
 SHAPE = (200, 200)  # default (image_height, segment_length)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # every test, forked or not, ends with no child process of this one left
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -252,11 +261,6 @@ def test_streamed_segments_keep_their_heap(optimal):
     assert faults < 500
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def count_forks(monkeypatch) -> list:
     forks, fork = [], os.fork
 
@@ -313,7 +317,6 @@ def test_forked_ranges_give_the_serial_bytes(long_rope, tmp_path, monkeypatch):
         out = tmp_path / f"{cores}.json"
         assert cli.main(["detect", str(path), "--out", str(out)]) == 0
         assert len(forks) == 2 * (cores - 1)
-        assert_no_children()
         runs[cores] = (result.detections, result.chosen_thresholds, out.read_bytes())
     assert runs[1][0]
     assert runs[2] == runs[1]
@@ -345,7 +348,6 @@ class TestForkFailures:
         with pytest.raises(ConfigInvalid) as forked:
             process_record(long_rope)
         assert str(forked.value) == str(serial.value) == f"segment {min(failures)} failed"
-        assert_no_children()
 
     @pytest.mark.parametrize("error, message", [(ConfigInvalid, "error: segment 30 failed\n"),
                                                 (MemoryError, "error: out of memory: segment 30 "
@@ -359,7 +361,6 @@ class TestForkFailures:
         assert cli.main(["detect", str(path), "--out", str(tmp_path / "d.json")]) == EXIT_USAGE
         assert capsys.readouterr().err == message
         assert not (tmp_path / "d.json").exists()
-        assert_no_children()
 
     def test_parent_raise_beside_a_full_pipe_returns(self, long_rope, monkeypatch):
         # each child's outcome is far above the 64 KiB pipe buffer, so the
@@ -384,34 +385,55 @@ class TestForkFailures:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert_no_children()
 
-    def test_fork_that_fails_has_its_range_run_here(self, long_rope, monkeypatch):
+    def test_interrupted_start_leaves_no_child(self, long_rope, monkeypatch):
+        # the second of three starts raises; the first child is killed and
+        # reaped before the interrupt propagates
+        fork, forks = os.fork, []
+
+        def interrupted():
+            forks.append(1)
+            if len(forks) == 2:
+                raise KeyboardInterrupt
+            return fork()
+
+        monkeypatch.setattr(os, "fork", interrupted)
+        usable_cores(monkeypatch, 4)
+        with pytest.raises(KeyboardInterrupt):
+            process_record(long_rope)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("failure", ["pipe", "fork", "killed"])
+    def test_child_that_sends_nothing_has_its_range_run_here(self, long_rope, tmp_path,
+                                                             monkeypatch, failure):
+        # a range whose child sends nothing, because no pipe or no child could
+        # be made or the child was killed, runs here: the serial result and
+        # bytes, and no descriptor left open
+        path = tmp_path / "long.mfl"
+        write_record_binary(path, long_rope)
         usable_cores(monkeypatch, 1)
         serial = process_record(long_rope)
+        assert cli.main(["detect", str(path), "--out", str(tmp_path / "serial.json")]) == 0
+        if failure == "killed":
+            parent, segment = os.getpid(), pipeline.process_segment
 
-        def no_fork():
-            raise BlockingIOError("Resource temporarily unavailable")
+            def process(image, *args):
+                if os.getpid() != parent and image.segment_index > 37:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return segment(image, *args)
 
-        monkeypatch.setattr(os, "fork", no_fork)
+            monkeypatch.setattr(pipeline, "process_segment", process)
+        else:
+            def exhausted(*args):
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+            monkeypatch.setattr(os, failure, exhausted)
         usable_cores(monkeypatch, 4)
+        descriptors = len(os.listdir("/dev/fd"))
         result = process_record(long_rope)
+        assert len(os.listdir("/dev/fd")) == descriptors
         assert (result.detections, result.chosen_thresholds) == (
             serial.detections, serial.chosen_thresholds)
-
-    def test_killed_child_has_its_range_run_here(self, long_rope, monkeypatch):
-        usable_cores(monkeypatch, 1)
-        serial = process_record(long_rope)
-        parent, segment = os.getpid(), pipeline.process_segment
-
-        def process(image, *args):
-            if os.getpid() != parent and image.segment_index > 37:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return segment(image, *args)
-
-        monkeypatch.setattr(pipeline, "process_segment", process)
-        usable_cores(monkeypatch, 4)
-        result = process_record(long_rope)
-        assert (result.detections, result.chosen_thresholds) == (
-            serial.detections, serial.chosen_thresholds)
-        assert_no_children()
+        out = tmp_path / "forked.json"
+        assert cli.main(["detect", str(path), "--out", str(out)]) == 0
+        assert out.read_bytes() == (tmp_path / "serial.json").read_bytes()

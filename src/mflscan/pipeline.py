@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import os
 import pickle
@@ -9,6 +11,7 @@ import signal
 import sys
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .enhance import enhance_layer, fuse, peak_normalize
 from .errors import ConfigInvalid
@@ -156,90 +159,162 @@ def process_segment(
     return detections, scan.chosen_threshold
 
 
-# Fewest segments in a range. A fork and its wait cost about 5 ms in a 200 MB
-# process; on 2 cores two ranges of 2 segments were slower than one of 4, and
-# two of 3 only 1.1-1.3x faster than one of 6, so 4 leaves a margin
-MIN_RANGE = 4
-
-
 def segment_ranges(count: int) -> list[range]:
     """Contiguous ranges of a record's `count` segments, one per usable core.
 
-    Each range holds at least MIN_RANGE segments. There is one range, so no
-    fork, without `os.fork` or `os.sched_getaffinity`, and in a process that
-    runs other Python threads, since a fork copies only the calling thread.
+    There are at most `count` ranges. There is one range, so no helper,
+    without `os.fork` or `os.sched_getaffinity`, and in a process that runs
+    other Python threads, since a fork copies only the calling thread.
     """
     parts = 1
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
-        parts = max(1, min(len(os.sched_getaffinity(0)), count // MIN_RANGE))
+        parts = max(1, min(len(os.sched_getaffinity(0)), count))
     return [range(count * r // parts, count * (r + 1) // parts) for r in range(parts)]
 
 
-def _fork_range(segment, segments: range):
-    """A child that pickles `[segment(i) for i in segments]` into a pipe: (pid, read end).
+class _Helper(NamedTuple):
+    """A forked process that runs ranges of segments, and this process's ends of its pipes."""
 
-    The child sends that list or nothing: on any failure it exits with 1. It
-    leaves by `os._exit`, so it never returns into the caller's stack. Raises
-    OSError, with no descriptor left open, when no pipe or no child can be made.
+    pid: int
+    requests: int  # write end of the pipe it reads ranges from
+    replies: int  # read end of the pipe it sends results down
+
+
+# This process's helpers. The first record with more than one range forks one
+# per extra range, and later records reuse them: a fork write-protects the
+# caller's whole heap, which cost a short record more than its second core
+# saved, so the cost is paid once per helper rather than once per record.
+# A helper runs the code it was forked with: a `pipeline` global patched or
+# wrapped after the fork is not seen in its ranges, so code that patches one
+# around whole records pins one core or calls `close_helpers()` first.
+_helpers: list[_Helper] = []
+
+
+def _run_range(images, context, adaptive_cfg, run, segments: range) -> list:
+    """`process_segment` over `segments`: what the caller and every helper run."""
+    return [process_segment(images[i], context, adaptive_cfg, run) for i in segments]
+
+
+def _serve(requests: int, replies: int):
+    """A helper's loop until EOF on `requests`: run each range it is sent, send back its list.
+
+    A request is `_run_range`'s arguments, pickled; a reply is the pickled
+    list behind its 8-byte length. Any failure propagates, and the helper
+    then exits having sent nothing for that range.
     """
-    read_fd, write_fd = os.pipe()
+    with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
+        while True:
+            try:
+                job = pickle.load(inbox)
+            except EOFError:
+                return
+            payload = pickle.dumps(_run_range(*job), pickle.HIGHEST_PROTOCOL)
+            del job  # so the next record is not read in beside this one
+            outbox.write(len(payload).to_bytes(8, "little"))
+            outbox.write(payload)
+            outbox.flush()
+
+
+def _start_helper():
+    """Fork one more helper into `_helpers`.
+
+    Raises OSError, with no descriptor left open, when no pipe or no process
+    can be made. The helper leaves by `os._exit`, so it never returns into
+    the caller's stack.
+    """
+    import scipy.ndimage  # noqa: F401 (loaded once here, not in each helper's first segment)
+
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    code = 1
-    try:
-        os.close(read_fd)
-        results = [segment(i) for i in segments]
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(results, pickle.HIGHEST_PROTOCOL))
-        code = 0
-    finally:
-        os._exit(code)
+    request_read, request_write, reply_read, reply_write = fds
+    if pid == 0:
+        code = 1
+        try:
+            os.close(request_write)
+            os.close(reply_read)
+            _serve(request_read, reply_write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(request_read)
+    os.close(reply_write)
+    _helpers.append(_Helper(pid, request_write, reply_read))
 
 
-def _run_ranges(segment, ranges: list[range]) -> list:
-    """`segment(i)` over every range, in segment order.
+def _helpers_for(count: int) -> list[_Helper]:
+    """The first `count` live helpers, forked as needed; fewer if no more can start."""
+    for helper in list(_helpers):
+        if os.waitpid(helper.pid, os.WNOHANG)[0]:  # it died since its last range
+            _forget(helper)
+    while len(_helpers) < count:
+        try:
+            _start_helper()
+        except OSError:
+            break
+    return _helpers[:count]
 
-    Each range after the first runs in a forked child, which shares the
-    record copy-on-write and sends back the list of its results, or nothing.
-    This process runs the first range, then reads each child's list in order.
-    A range whose child sends nothing (it could not start, raised or was
-    killed) runs here, so an error is the one a serial run raises, at the
-    same segment. Every child still unreaped is killed and reaped before any
-    error propagates, so no process outlives the call.
+
+def _send(helper: _Helper, job: tuple):
+    """Pickle `job` down `helper`'s request pipe; the record's samples stream, uncopied."""
+    with open(helper.requests, "wb", closefd=False) as pipe:
+        pickle.dump(job, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _receive(helper: _Helper) -> list | None:
+    """The list `helper` sends back for its range, or None if it sends nothing."""
+    with open(helper.replies, "rb", closefd=False) as pipe:
+        head = pipe.read(8)
+        size = int.from_bytes(head, "little")
+        payload = pipe.read(size) if len(head) == 8 else b""
+    return pickle.loads(payload) if len(head) == 8 and len(payload) == size else None
+
+
+def _forget(helper: _Helper):
+    """Close this process's ends of `helper`'s pipes and drop it from `_helpers`."""
+    _helpers.remove(helper)
+    os.close(helper.requests)
+    os.close(helper.replies)
+
+
+def _drop(helper: _Helper):
+    """Kill, reap and forget `helper`."""
+    _forget(helper)
+    os.kill(helper.pid, signal.SIGKILL)
+    os.waitpid(helper.pid, 0)
+
+
+def close_helpers():
+    """End this process's helpers: each sees EOF on its request pipe, exits and is reaped.
+
+    Runs at interpreter exit. A later record forks new helpers.
     """
-    children = [None] * len(ranges)  # (pid, read end) of each unreaped child
-    try:
-        for k in range(1, len(ranges)):
-            try:
-                children[k] = _fork_range(segment, ranges[k])
-            except OSError:  # no pipe or no fork: the range runs here
-                pass
-        results = []
-        for k, segments in enumerate(ranges):
-            sent = None
-            if children[k]:
-                pid, pipe = children[k]
-                with pipe:
-                    payload = pipe.read()
-                _, status = os.waitpid(pid, 0)
-                children[k] = None
-                if os.waitstatus_to_exitcode(status) == 0:
-                    sent = pickle.loads(payload)
-            results.extend([segment(i) for i in segments] if sent is None else sent)
-        return results
-    finally:
-        for pid, pipe in filter(None, children):
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    while _helpers:
+        helper = _helpers[-1]
+        _forget(helper)
+        os.waitpid(helper.pid, 0)
+
+
+def _forget_helpers():
+    """In a forked child, forget the parent's helpers and close their pipe ends.
+
+    A new helper that held them would keep its siblings from seeing EOF, and
+    a caller's own child starts helpers of its own.
+    """
+    while _helpers:
+        _forget(_helpers[-1])
+
+
+atexit.register(close_helpers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
 
 
 def process_record(
@@ -250,20 +325,41 @@ def process_record(
 ) -> PipelineResult:
     """Detect flaws in one record; deterministic for identical inputs.
 
-    The segments run in `segment_ranges`, one forked child per range after
-    the first; the result's bytes do not depend on the number of ranges.
+    The segments run in `segment_ranges`: this process runs the first range,
+    and one helper per range after it runs that range and sends back the
+    list of its results, or nothing. This process then reads each list in
+    segment order, and runs each range whose helper sent nothing (it could
+    not start, raised or was killed) itself, so the bytes do not depend on
+    the number of ranges, and an error is the one a serial run raises, at
+    the same segment. Every helper that has not sent its list is killed and
+    reaped before any error propagates.
     """
     _keep_freed_heap()
     context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg)
     shape = (preprocess_cfg.image_height, preprocess_cfg.segment_length)
     kernel_size, weights = method_plan(context, adaptive_cfg, shape, run)
     images = preprocess(record, preprocess_cfg)
+    job = (images, context, adaptive_cfg, run)
+    first, *rest = segment_ranges(len(images))
+    busy = [None] * len(rest)  # the helper running each range after the first
+    try:
+        for k, helper in enumerate(_helpers_for(len(rest))):
+            busy[k] = helper
+            with contextlib.suppress(BrokenPipeError):  # it died: it sends nothing
+                _send(helper, (*job, rest[k]))
+        results = _run_range(*job, first)
+        for k, segments in enumerate(rest):
+            sent = busy[k] and _receive(busy[k])
+            if sent is None:
+                sent = _run_range(*job, segments)
+            else:
+                busy[k] = None  # idle again, for the next record
+            results += sent
+    finally:
+        for helper in filter(None, busy):
+            _drop(helper)
     result = PipelineResult([], context, kernel_size, weights)
-
-    def segment(i):
-        return process_segment(images[i], context, adaptive_cfg, run)
-
-    for detections, threshold in _run_ranges(segment, segment_ranges(len(images))):
+    for detections, threshold in results:
         result.detections.extend(detections)
         result.chosen_thresholds.append(threshold)
     return result

@@ -18,6 +18,7 @@ peak, not bit for bit, and records built with either give the same detections.
 """
 
 import math
+import os
 from dataclasses import replace
 from itertools import groupby
 
@@ -358,6 +359,7 @@ def fuse_calls():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "fuse", spy)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a helper's calls miss the spy
         for spec in scenario_presets().values():
             for record, _ in make_eval_dataset(spec, 3, 7):
                 for method in METHODS:
@@ -431,6 +433,7 @@ def fused_calls():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "extract_components", spy)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a helper's calls miss the spy
         for spec in scenario_presets().values():
             record, _ = generate(spec)
             for method in METHODS:
@@ -528,6 +531,7 @@ def threshold_calls():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "adaptive_threshold", spy)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})  # a helper's calls miss the spy
         for spec in scenario_presets().values():
             record, _ = generate(spec)
             for method in METHODS:
@@ -562,6 +566,8 @@ class TestAdaptiveThreshold:
         got = [process_record(record, run=run) for record in records for run in runs]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pipeline, "adaptive_threshold", full_sweep_adaptive_threshold)
+            # one core: a helper would run the real scan
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
             want = [process_record(record, run=run) for record in records for run in runs]
         assert [r.detections for r in got] == [r.detections for r in want]
         assert [r.chosen_thresholds for r in got] == [r.chosen_thresholds for r in want]

@@ -1,17 +1,21 @@
 """Methods as data: the method table, layer skipping, the μ = 1 limit, record
-memory, and a record's segments in forked ranges."""
+memory, and a record's segments in ranges run by forked helpers."""
 
 import errno
 import os
 import resource
 import signal
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import mflscan
 from mflscan import cli, pipeline, pyramid
 from mflscan.cli import EXIT_USAGE
 from mflscan.errors import ConfigInvalid
@@ -28,8 +32,12 @@ SHAPE = (200, 200)  # default (image_height, segment_length)
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    # every test, forked or not, ends with no child process of this one left
+    # every test, forked or not, starts with no helper and ends with no child
+    # process of this one left once the helpers are closed, as they are at
+    # interpreter exit
+    pipeline.close_helpers()
     yield
+    pipeline.close_helpers()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -160,6 +168,7 @@ class TestLayerSkipping:
 
     def test_segment_runs_its_stages_once(self, optimal, monkeypatch):
         record, _, _ = optimal
+        usable_cores(monkeypatch, 1)  # a helper's calls are not counted here
         calls = []
         stages = pipeline.segment_stages
 
@@ -278,11 +287,12 @@ def long_rope():
 
 
 class TestSegmentRanges:
-    def test_contiguous_ranges_of_at_least_min_range(self, monkeypatch):
+    def test_contiguous_ranges_one_per_core(self, monkeypatch):
         usable_cores(monkeypatch, 4)
         assert segment_ranges(50) == [range(0, 12), range(12, 25), range(25, 37), range(37, 50)]
-        assert segment_ranges(11) == [range(0, 5), range(5, 11)]
-        assert segment_ranges(7) == [range(0, 7)]
+        assert segment_ranges(11) == [range(0, 2), range(2, 5), range(5, 8), range(8, 11)]
+        assert segment_ranges(3) == [range(0, 1), range(1, 2), range(2, 3)]
+        assert segment_ranges(1) == [range(0, 1)]
 
     def test_one_range_beside_other_threads(self, monkeypatch):
         usable_cores(monkeypatch, 4)
@@ -295,32 +305,139 @@ class TestSegmentRanges:
             release.set()
             thread.join()
 
-    def test_short_record_never_forks(self, optimal, monkeypatch):
-        record, _, _ = optimal
-        assert record.sample_count // 200 == 4
-        usable_cores(monkeypatch, 4)
-        forks = count_forks(monkeypatch)
-        process_record(record)
-        assert forks == []
+
+def preset_record(name):
+    return generate(scenario_presets()[name])[0]
 
 
-def test_forked_ranges_give_the_serial_bytes(long_rope, tmp_path, monkeypatch):
-    # one child per range after the first; detections, thresholds and the
-    # `detect` JSON bytes are those of the one-core run
-    path = tmp_path / "long.mfl"
-    write_record_binary(path, long_rope)
+@pytest.mark.parametrize("rope", ["long-rope", "low_ssr", "optimal_ssr", "high_ssr"])
+def test_helpers_give_the_serial_bytes(rope, long_rope, tmp_path, monkeypatch):
+    # the 50-segment rope and a 4-segment record of each preset: detections,
+    # thresholds and the `detect` JSON bytes on 2 and 4 cores are those of
+    # the one-core run, and the helpers forked for 2 cores serve on 4
+    record = long_rope if rope == "long-rope" else preset_record(rope)
+    path = tmp_path / "rope.mfl"
+    write_record_binary(path, record)
+    forks = count_forks(monkeypatch)
     runs = {}
     for cores in (1, 2, 4):
         usable_cores(monkeypatch, cores)
-        forks = count_forks(monkeypatch)
-        result = process_record(long_rope)
+        result = process_record(record)
         out = tmp_path / f"{cores}.json"
         assert cli.main(["detect", str(path), "--out", str(out)]) == 0
-        assert len(forks) == 2 * (cores - 1)
         runs[cores] = (result.detections, result.chosen_thresholds, out.read_bytes())
+    assert len(forks) == 3
     assert runs[1][0]
     assert runs[2] == runs[1]
     assert runs[4] == runs[1]
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_helpers_are_forked_once_per_process(optimal, cores, monkeypatch):
+    # records of 4 and 50 segments, one after another, fork cores - 1 helpers
+    usable_cores(monkeypatch, cores)
+    forks = count_forks(monkeypatch)
+    for record in (optimal[0], high_ssr_rope(8), optimal[0]):
+        process_record(record)
+    assert len(forks) == cores - 1
+    assert len(pipeline._helpers) == cores - 1
+
+
+def test_helper_exits_at_eof_beside_later_helpers(optimal, monkeypatch):
+    # the first of three helpers exits, with status 0, once this process
+    # closes its request pipe: the helpers forked after it hold no copy
+    usable_cores(monkeypatch, 4)
+    process_record(optimal[0])
+    first = pipeline._helpers[0]
+    pipeline._forget(first)
+
+    def hung(signum, frame):
+        raise TimeoutError("the helper never saw EOF")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        _, status = os.waitpid(first.pid, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_killed_helper_is_replaced(optimal, monkeypatch):
+    # a helper killed between two records is reaped and replaced, and the
+    # second record gives the serial result
+    record = optimal[0]
+    usable_cores(monkeypatch, 1)
+    serial = process_record(record)
+    usable_cores(monkeypatch, 2)
+    process_record(record)
+    [killed] = pipeline._helpers
+    os.kill(killed.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, killed.pid, os.WEXITED | os.WNOWAIT)  # dead, left for the pipeline to reap
+    forks = count_forks(monkeypatch)
+    result = process_record(record)
+    assert len(forks) == 1
+    assert killed not in pipeline._helpers
+    assert (result.detections, result.chosen_thresholds) == (
+        serial.detections, serial.chosen_thresholds)
+
+
+def test_callers_own_child_starts_its_own_helpers(optimal, monkeypatch):
+    # a process forked by the caller forgets the caller's helpers, forks its
+    # own for its records, and leaves the caller's serving
+    record = optimal[0]
+    usable_cores(monkeypatch, 2)
+    expected = process_record(record)
+    helpers = list(pipeline._helpers)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            inherited = list(pipeline._helpers)
+            result = process_record(record)
+            ok = (inherited == [] and len(pipeline._helpers) == 1
+                  and pipeline._helpers[0].pid not in [helper.pid for helper in helpers]
+                  and (result.detections, result.chosen_thresholds)
+                  == (expected.detections, expected.chosen_thresholds))
+            pipeline.close_helpers()
+            os.write(write_fd, b"ok" if ok else b"no")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        report = pipe.read()
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    assert report == b"ok"
+    forks = count_forks(monkeypatch)
+    result = process_record(record)
+    assert forks == [] and pipeline._helpers == helpers
+    assert (result.detections, result.chosen_thresholds) == (
+        expected.detections, expected.chosen_thresholds)
+
+
+def test_detect_process_leaves_no_helper(tmp_path):
+    # a `detect` process on 2 cores forks a helper, and every helper is
+    # reaped before the process exits
+    write_record_binary(tmp_path / "rope.mfl", preset_record("optimal_ssr"))
+    code = textwrap.dedent("""
+        import os, sys
+        from mflscan import cli, pipeline
+        os.sched_getaffinity = lambda pid: {0, 1}
+        assert cli.main(["detect", sys.argv[1] + "/rope.mfl"]) == 0
+        print(*[helper.pid for helper in pipeline._helpers])
+    """)
+    path = [str(Path(mflscan.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    result = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    [pid] = [int(pid) for pid in result.stdout.splitlines()[-1].split()]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 def failing_at(monkeypatch, failures, error=ConfigInvalid):
@@ -363,8 +480,11 @@ class TestForkFailures:
         assert not (tmp_path / "d.json").exists()
 
     def test_parent_raise_beside_a_full_pipe_returns(self, long_rope, monkeypatch):
-        # each child's outcome is far above the 64 KiB pipe buffer, so the
-        # child blocks writing until it is killed
+        # each helper's outcome is far above the 64 KiB pipe buffer, so the
+        # helper blocks writing until it is killed; the next record forks new
+        # helpers and gives the serial result
+        usable_cores(monkeypatch, 1)
+        serial = process_record(long_rope)
         parent, segment = os.getpid(), pipeline.process_segment
 
         def process(image, *args):
@@ -385,10 +505,17 @@ class TestForkFailures:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert pipeline._helpers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(pipeline, "process_segment", segment)
+        result = process_record(long_rope)
+        assert (result.detections, result.chosen_thresholds) == (
+            serial.detections, serial.chosen_thresholds)
 
     def test_interrupted_start_leaves_no_child(self, long_rope, monkeypatch):
-        # the second of three starts raises; the first child is killed and
-        # reaped before the interrupt propagates
+        # the second of three starts raises before any range is sent; the
+        # first helper is left idle, and closing the helpers reaps it
         fork, forks = os.fork, []
 
         def interrupted():
@@ -402,13 +529,14 @@ class TestForkFailures:
         with pytest.raises(KeyboardInterrupt):
             process_record(long_rope)
         assert len(forks) == 2
+        assert len(pipeline._helpers) == 1
 
     @pytest.mark.parametrize("failure", ["pipe", "fork", "killed"])
     def test_child_that_sends_nothing_has_its_range_run_here(self, long_rope, tmp_path,
                                                              monkeypatch, failure):
-        # a range whose child sends nothing, because no pipe or no child could
-        # be made or the child was killed, runs here: the serial result and
-        # bytes, and no descriptor left open
+        # a range whose helper sends nothing, because no pipe or no helper
+        # could be made or the helper was killed, runs here: the serial result
+        # and bytes, and no descriptor left open once the helpers are closed
         path = tmp_path / "long.mfl"
         write_record_binary(path, long_rope)
         usable_cores(monkeypatch, 1)
@@ -431,6 +559,7 @@ class TestForkFailures:
         usable_cores(monkeypatch, 4)
         descriptors = len(os.listdir("/dev/fd"))
         result = process_record(long_rope)
+        pipeline.close_helpers()
         assert len(os.listdir("/dev/fd")) == descriptors
         assert (result.detections, result.chosen_thresholds) == (
             serial.detections, serial.chosen_thresholds)

@@ -250,10 +250,7 @@ def _start_helper():
 
 
 def _helpers_for(count: int) -> list[_Helper]:
-    """The first `count` live helpers, forked as needed; fewer if no more can start."""
-    for helper in list(_helpers):
-        if os.waitpid(helper.pid, os.WNOHANG)[0]:  # it died since its last range
-            _forget(helper)
+    """The first `count` helpers, forked as needed; fewer if no more can start."""
     while len(_helpers) < count:
         try:
             _start_helper()
@@ -292,14 +289,12 @@ def _drop(helper: _Helper):
 
 
 def close_helpers():
-    """End this process's helpers: each sees EOF on its request pipe, exits and is reaped.
+    """Kill, reap and forget each of this process's helpers.
 
     Runs at interpreter exit. A later record forks new helpers.
     """
     while _helpers:
-        helper = _helpers[-1]
-        _forget(helper)
-        os.waitpid(helper.pid, 0)
+        _drop(_helpers[-1])
 
 
 def _forget_helpers():

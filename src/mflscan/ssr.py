@@ -58,8 +58,13 @@ def normalize_ssr(f_spatial: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> f
 
 
 def adaptive_kernel_size(mu: float, cfg: AdaptiveConfig = AdaptiveConfig()) -> int:
-    """Kernel side after adaptive adjustment: ceil(K_base + alpha * (1 - mu))."""
-    return math.ceil(cfg.kernel_base + cfg.alpha * (1.0 - mu))
+    """Kernel side after adaptive adjustment: ceil(K_base + alpha * (1 - mu)).
+
+    The sum is rounded to 12 decimals before `ceil`, so records at one SSR get
+    one kernel: 250 Hz at 1.5 m/s gives mu = 1.0, but 100 Hz at 0.6 m/s gives
+    0.9999999999999998, whose float noise would otherwise lift K_a by one.
+    """
+    return math.ceil(round(cfg.kernel_base + cfg.alpha * (1.0 - mu), 12))
 
 
 def layer_weights(mu: float) -> tuple[float, float, float]:

@@ -4,6 +4,7 @@ memory, and a record's segments in ranges run by forked helpers."""
 import errno
 import os
 import resource
+import select
 import signal
 import subprocess
 import sys
@@ -28,18 +29,6 @@ from mflscan.synth import generate, scenario_presets
 
 
 SHAPE = (200, 200)  # default (image_height, segment_length)
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    # every test, forked or not, starts with no helper and ends with no child
-    # process of this one left once the helpers are closed, as they are at
-    # interpreter exit
-    pipeline.close_helpers()
-    yield
-    pipeline.close_helpers()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +354,9 @@ def test_helper_exits_at_eof_beside_later_helpers(optimal, monkeypatch):
 
 
 def test_killed_helper_is_replaced(optimal, monkeypatch):
-    # a helper killed between two records is reaped and replaced, and the
-    # second record gives the serial result
+    # a helper killed between two records sends nothing for the next one,
+    # which runs its range here, gives the serial result and drops the
+    # helper; the record after that forks the one replacement
     record = optimal[0]
     usable_cores(monkeypatch, 1)
     serial = process_record(record)
@@ -377,10 +367,13 @@ def test_killed_helper_is_replaced(optimal, monkeypatch):
     os.waitid(os.P_PID, killed.pid, os.WEXITED | os.WNOWAIT)  # dead, left for the pipeline to reap
     forks = count_forks(monkeypatch)
     result = process_record(record)
-    assert len(forks) == 1
-    assert killed not in pipeline._helpers
+    assert forks == []
+    assert pipeline._helpers == []
     assert (result.detections, result.chosen_thresholds) == (
         serial.detections, serial.chosen_thresholds)
+    process_record(record)
+    assert len(forks) == 1
+    assert len(pipeline._helpers) == 1
 
 
 def test_callers_own_child_starts_its_own_helpers(optimal, monkeypatch):
@@ -512,6 +505,33 @@ class TestForkFailures:
         result = process_record(long_rope)
         assert (result.detections, result.chosen_thresholds) == (
             serial.detections, serial.chosen_thresholds)
+
+    def test_reply_cut_short_has_its_range_run_here(self, optimal, monkeypatch):
+        # on 2 cores the helper's reply for segments 3-4 is far above the
+        # 64 KiB pipe buffer; once its head is readable, and so before the
+        # caller reads any of it, the helper is killed. The caller reads a
+        # length and then EOF, runs the range itself and drops the helper
+        record = optimal[0]
+        usable_cores(monkeypatch, 1)
+        serial = process_record(record)
+        parent, segment = os.getpid(), pipeline.process_segment
+
+        def process(image, *args):
+            if os.getpid() != parent:
+                return [b"\0" * 2**20], segment(image, *args)[1]
+            if image.segment_index == 2:
+                [helper] = pipeline._helpers
+                readable, _, _ = select.select([helper.replies], [], [], 60)
+                assert readable, "the helper sent no reply"
+                os.kill(helper.pid, signal.SIGKILL)
+            return segment(image, *args)
+
+        monkeypatch.setattr(pipeline, "process_segment", process)
+        usable_cores(monkeypatch, 2)
+        result = process_record(record)
+        assert (result.detections, result.chosen_thresholds) == (
+            serial.detections, serial.chosen_thresholds)
+        assert pipeline._helpers == []
 
     def test_interrupted_start_leaves_no_child(self, long_rope, monkeypatch):
         # the second of three starts raises before any range is sent; the

@@ -14,6 +14,7 @@ from mflscan.ssr import (
     layer_weights,
     normalize_ssr,
 )
+from mflscan.synth import scenario_presets
 
 
 class TestComputeSsr:
@@ -70,6 +71,15 @@ class TestAdaptiveKernelSize:
         for mu in rng.uniform(1e-9, 1.0, size=500):
             k = adaptive_kernel_size(float(mu), cfg)
             assert cfg.kernel_base <= k <= cfg.kernel_base + math.ceil(cfg.alpha)
+
+    def test_equal_ssr_gives_one_kernel(self):
+        # each pair is f_s / v = 166.67, the extreme reference, but half of
+        # them give mu = 0.9999999999999998; the presets keep their kernels
+        for fs, v in ((250, 1.5), (500, 3.0), (150, 0.9), (100, 0.6), (200, 1.2), (50, 0.3)):
+            assert build_context(fs, v).kernel_size == 5, (fs, v)
+        presets = [scenario_presets()[name] for name in ("low_ssr", "optimal_ssr", "high_ssr")]
+        assert [build_context(p.sampling_rate_hz, p.inspection_speed_mps).kernel_size
+                for p in presets] == [6, 9, 10]
 
     def test_rejects_out_of_range_mu(self):
         # mu lies in (0, 1] by construction: the reference is refused at 0 or

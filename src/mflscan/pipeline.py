@@ -199,9 +199,9 @@ def _run_range(images, context, adaptive_cfg, run, segments: range) -> list:
 def _serve(requests: int, replies: int):
     """A helper's loop until EOF on `requests`: run each range it is sent, send back its list.
 
-    A request is `_run_range`'s arguments, pickled; a reply is the pickled
-    list behind its 8-byte length. Any failure propagates, and the helper
-    then exits having sent nothing for that range.
+    A request is `_run_range`'s arguments, pickled; a reply is the list,
+    pickled. Any failure propagates, and the helper then exits having sent
+    nothing for that range, or a pickle cut short.
     """
     with open(requests, "rb") as inbox, open(replies, "wb") as outbox:
         while True:
@@ -209,10 +209,9 @@ def _serve(requests: int, replies: int):
                 job = pickle.load(inbox)
             except EOFError:
                 return
-            payload = pickle.dumps(_run_range(*job), pickle.HIGHEST_PROTOCOL)
+            results = _run_range(*job)
             del job  # so the next record is not read in beside this one
-            outbox.write(len(payload).to_bytes(8, "little"))
-            outbox.write(payload)
+            pickle.dump(results, outbox, pickle.HIGHEST_PROTOCOL)
             outbox.flush()
 
 
@@ -266,12 +265,12 @@ def _send(helper: _Helper, job: tuple):
 
 
 def _receive(helper: _Helper) -> list | None:
-    """The list `helper` sends back for its range, or None if it sends nothing."""
+    """The list `helper` sends back for its range, or None if it sends nothing or a cut pickle."""
     with open(helper.replies, "rb", closefd=False) as pipe:
-        head = pipe.read(8)
-        size = int.from_bytes(head, "little")
-        payload = pipe.read(size) if len(head) == 8 else b""
-    return pickle.loads(payload) if len(head) == 8 and len(payload) == size else None
+        try:
+            return pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return None
 
 
 def _forget(helper: _Helper):

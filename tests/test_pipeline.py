@@ -3,6 +3,7 @@ memory, and a record's segments in ranges run by forked helpers."""
 
 import errno
 import os
+import pickle
 import resource
 import select
 import signal
@@ -510,7 +511,7 @@ class TestForkFailures:
         # on 2 cores the helper's reply for segments 3-4 is far above the
         # 64 KiB pipe buffer; once its head is readable, and so before the
         # caller reads any of it, the helper is killed. The caller reads a
-        # length and then EOF, runs the range itself and drops the helper
+        # pickle cut short, runs the range itself and drops the helper
         record = optimal[0]
         usable_cores(monkeypatch, 1)
         serial = process_record(record)
@@ -532,6 +533,25 @@ class TestForkFailures:
         assert (result.detections, result.chosen_thresholds) == (
             serial.detections, serial.chosen_thresholds)
         assert pipeline._helpers == []
+
+    def test_every_proper_prefix_of_a_reply_is_nothing(self, optimal):
+        # a helper killed mid-reply leaves a prefix of its pickle in the pipe
+        record, cfg, context = optimal
+        images = preprocess(record, PreprocessConfig())
+        results = pipeline._run_range(images, context, cfg, RunConfig(), range(len(images)))
+        assert any(detections for detections, _ in results)
+        reply = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
+        descriptors = len(os.listdir("/dev/fd"))
+        for end in range(len(reply) + 1):
+            read, write = os.pipe()
+            os.write(write, reply[:end])
+            os.close(write)
+            try:
+                received = pipeline._receive(pipeline._Helper(0, -1, read))
+            finally:
+                os.close(read)
+            assert received == (results if end == len(reply) else None), end
+        assert len(os.listdir("/dev/fd")) == descriptors
 
     def test_interrupted_start_leaves_no_child(self, long_rope, monkeypatch):
         # the second of three starts raises before any range is sent; the

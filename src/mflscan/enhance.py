@@ -15,13 +15,12 @@ import numpy as np
 
 def peak_normalize(image: np.ndarray) -> np.ndarray:
     """The image divided by its peak; all zeros when the peak is not positive."""
-    image = np.asarray(image, dtype=float)
-    peak = image.max() if image.size else 0.0
+    peak = image.max()
     return image / peak if peak > 0 else np.zeros_like(image)
 
 
 def gamma_enhance(response: np.ndarray, gamma: float) -> np.ndarray:
-    """Rescale a response to [0, 1] by its own peak, then raise to gamma.
+    """Rescale a response to [0, 1] by its own peak, then take its power gamma.
 
     An all-zero response passes through as zeros.
     """
@@ -79,7 +78,6 @@ def envelope(enhanced: np.ndarray) -> np.ndarray:
     exact integers, so this equals a per-row np.interp bit for bit. The rows
     without a maximum are then copied back from the input.
     """
-    enhanced = np.asarray(enhanced, dtype=float)
     h, w = enhanced.shape
     knots = _maxima_mask(enhanced)
     bare_rows = np.flatnonzero(~knots.any(axis=1))
@@ -124,7 +122,7 @@ def upsample_bilinear(src: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     come from `_bilinear_taps`; the blend multiplies and adds into the two
     gathered copies, so `src` is never written to.
     """
-    out = np.asarray(src, dtype=float)
+    out = src
     for axis, target in enumerate(shape):
         lo, hi, w_lo, w_hi = _bilinear_taps(out.shape[axis], target, axis)
         upper = out.take(hi, axis)
@@ -142,20 +140,13 @@ def fuse(envelopes: tuple[np.ndarray, ...], weights: tuple[float, float, float])
     the one before it. Bilinear upsampling is linear, so the sum is built
     coarse to fine with one upsample per step: G = w3*F3, then
     G = w2*F2 + up(G), then G = w1*F1 + up(G). Layers left out must have
-    weight zero.
+    weight zero; `method_plan` and `build_pyramid` guarantee both.
     """
-    layers = [np.asarray(f, dtype=float) for f in envelopes]
-    n = len(layers)
-    if not 1 <= n <= len(weights) or any(weights[n:]):
-        raise ValueError(f"{n} layers do not fit the weights {weights}")
-    for fine, coarse in zip(layers, layers[1:]):
-        if coarse.shape != (fine.shape[0] // 2, fine.shape[1] // 2):
-            shapes = [f.shape for f in layers]
-            raise ValueError(f"layer shapes {shapes} are not successive halvings")
-    fused = weights[n - 1] * layers[n - 1]
+    n = len(envelopes)
+    fused = weights[n - 1] * envelopes[n - 1]
     for j in range(n - 2, -1, -1):
-        coarse = upsample_bilinear(fused, layers[j].shape)
-        fused = weights[j] * layers[j]
+        coarse = upsample_bilinear(fused, envelopes[j].shape)
+        fused = weights[j] * envelopes[j]
         fused += coarse
     return fused
 

@@ -9,6 +9,7 @@ it holds no array of the record's size beside the record itself.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -168,7 +169,9 @@ class Segments(Sequence):
     orientation (H rows radial, P columns axial). A trailing remainder
     shorter than P is dropped and never resampled. Only the record, the basis
     and the sizes are held, so memory is the record's plus the images the
-    caller keeps, and any read order gives the same bytes.
+    caller keeps, and any read order gives the same bytes. `images[range(a, b)]`
+    gives the same images a to b - 1 from only their rows and halo,
+    [max(aP - La, its first row), bP + La - 1): what a helper is sent.
     """
 
     def __init__(self, samples: np.ndarray, basis: np.ndarray, cfg: PreprocessConfig):
@@ -176,22 +179,31 @@ class Segments(Sequence):
         _require(samples.shape[0], "segment_length", length, length)
         self._samples, self._basis, self._length = samples, basis, length
         self._la = cfg.half_span_la
+        self._segments = range(samples.shape[0] // length)  # record-level indices
+        self._first_row = 0  # the record row that `_samples[0]` holds
 
     def __len__(self) -> int:
-        return self._samples.shape[0] // self._length
+        return len(self._segments)
 
-    def __getitem__(self, i: int) -> MflImage:
-        count = len(self)
-        if not -count <= i < count:
-            raise IndexError(f"segment {i} of {count}")
-        i %= count
-        x, la = self._samples, self._la
+    def __getitem__(self, i: int | range) -> MflImage | Segments:
+        if isinstance(i, range):
+            segments, first_row = self._segments[i.start : i.stop], self._first_row
+            first = max(segments.start * self._length - self._la, first_row)
+            stop = segments.stop * self._length + self._la - 1
+            view = copy.copy(self)
+            view._samples = self._samples[first - first_row : stop - first_row]
+            view._segments, view._first_row = segments, first
+            return view
+        i = self._segments[i]
+        x, la, first_row = self._samples, self._la, self._first_row
         m_count = x.shape[0]
-        start, stop = i * self._length, (i + 1) * self._length
+        start = i * self._length - first_row
+        stop = start + self._length
         # The baseline at sample m is the mean over [m - La, m + La - 1],
         # truncated at the record's edges: a difference of one cumulative sum
         # over the window and its halo, which starts at the halo, so no
         # earlier sample enters it and its error does not grow along the rope.
+        # A view holds each of its halos, so its edges clamp where the record's do.
         halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
         # csum[k] = sum of x[halo_start:halo_start + k]
         csum = np.zeros((halo_stop - halo_start + 1, x.shape[1]))
@@ -205,7 +217,7 @@ class Segments(Sequence):
         # einsum runs on this thread; `@` would hand this size to the threaded
         # BLAS, whose idle worker keeps spinning on a core after the call
         pixels = np.einsum("pn,nh->hp", rows, self._basis, order="C")
-        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start)
+        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start + first_row)
 
 
 def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:

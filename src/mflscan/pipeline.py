@@ -10,7 +10,7 @@ import pickle
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .enhance import enhance_layer, fuse, peak_normalize
@@ -113,7 +113,7 @@ class PipelineResult:
     context: SsrContext
     kernel_size: int
     fusion_weights: tuple[float, float, float]
-    chosen_thresholds: list[float] = field(default_factory=list)
+    chosen_thresholds: list[float]
 
 
 def segment_stages(
@@ -191,9 +191,9 @@ class _Helper(NamedTuple):
 _helpers: list[_Helper] = []
 
 
-def _run_range(images, context, adaptive_cfg, run, segments: range) -> list:
-    """`process_segment` over `segments`: what the caller and every helper run."""
-    return [process_segment(images[i], context, adaptive_cfg, run) for i in segments]
+def _run_range(images, context, adaptive_cfg, run) -> list:
+    """`process_segment` over a range's `images`: what the caller and every helper run."""
+    return [process_segment(image, context, adaptive_cfg, run) for image in images]
 
 
 def _serve(requests: int, replies: int):
@@ -210,7 +210,7 @@ def _serve(requests: int, replies: int):
             except EOFError:
                 return
             results = _run_range(*job)
-            del job  # so the next record is not read in beside this one
+            del job  # so the next range is not read in beside this one
             pickle.dump(results, outbox, pickle.HIGHEST_PROTOCOL)
             outbox.flush()
 
@@ -259,7 +259,7 @@ def _helpers_for(count: int) -> list[_Helper]:
 
 
 def _send(helper: _Helper, job: tuple):
-    """Pickle `job` down `helper`'s request pipe; the record's samples stream, uncopied."""
+    """Pickle `job` down `helper`'s request pipe; its range's rows stream, uncopied."""
     with open(helper.requests, "wb", closefd=False) as pipe:
         pickle.dump(job, pipe, pickle.HIGHEST_PROTOCOL)
 
@@ -320,40 +320,38 @@ def process_record(
     """Detect flaws in one record; deterministic for identical inputs.
 
     The segments run in `segment_ranges`: this process runs the first range,
-    and one helper per range after it runs that range and sends back the
-    list of its results, or nothing. This process then reads each list in
-    segment order, and runs each range whose helper sent nothing (it could
-    not start, raised or was killed) itself, so the bytes do not depend on
-    the number of ranges, and an error is the one a serial run raises, at
-    the same segment. Every helper that has not sent its list is killed and
-    reaped before any error propagates.
+    and one helper per range after it is sent that range's rows and halo
+    (`images[range]`), runs it and sends back the list of its results, or
+    nothing. This process then reads each list in segment order, and runs
+    each range whose helper sent nothing (it could not start, raised or was
+    killed) itself, so the bytes do not depend on the number of ranges, and
+    an error is the one a serial run raises, at the same segment. Every
+    helper that has not sent its list is killed and reaped before any error
+    propagates.
     """
     _keep_freed_heap()
     context = build_context(record.sampling_rate_hz, record.inspection_speed_mps, adaptive_cfg)
     shape = (preprocess_cfg.image_height, preprocess_cfg.segment_length)
     kernel_size, weights = method_plan(context, adaptive_cfg, shape, run)
     images = preprocess(record, preprocess_cfg)
-    job = (images, context, adaptive_cfg, run)
+    settings = (context, adaptive_cfg, run)
     first, *rest = segment_ranges(len(images))
     busy = [None] * len(rest)  # the helper running each range after the first
     try:
         for k, helper in enumerate(_helpers_for(len(rest))):
             busy[k] = helper
             with contextlib.suppress(BrokenPipeError):  # it died: it sends nothing
-                _send(helper, (*job, rest[k]))
-        results = _run_range(*job, first)
+                _send(helper, (images[rest[k]], *settings))
+        results = _run_range(images[first], *settings)
         for k, segments in enumerate(rest):
             sent = busy[k] and _receive(busy[k])
             if sent is None:
-                sent = _run_range(*job, segments)
+                sent = _run_range(images[segments], *settings)
             else:
                 busy[k] = None  # idle again, for the next record
             results += sent
     finally:
         for helper in filter(None, busy):
             _drop(helper)
-    result = PipelineResult([], context, kernel_size, weights)
-    for detections, threshold in results:
-        result.detections.extend(detections)
-        result.chosen_thresholds.append(threshold)
-    return result
+    return PipelineResult([d for detections, _ in results for d in detections], context,
+                          kernel_size, weights, [threshold for _, threshold in results])

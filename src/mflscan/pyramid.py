@@ -14,19 +14,15 @@ def _pool2(img: np.ndarray) -> np.ndarray:
     """2x2 non-overlapping average pooling; odd trailing row/column dropped.
 
     Each output pixel is ((a + b) + (c + d)) / 4, where a, b are the top
-    pair of its block and c, d the bottom pair; with a single block per row
-    (width 2 or 3) it is (((a + b) + c) + d) / 4. Those are the orders of
-    adds of `reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))`, so the two
+    pair of its block and c, d the bottom pair. On every layer at least 4
+    wide, the only ones `method_plan` lets the chain pool, that is the order
+    of adds of `reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))`, so the two
     agree bit for bit.
     """
     h, w = img.shape
     top, bottom = img[0 : h - 1 : 2], img[1:h:2]
     out = top[:, 0 : w - 1 : 2] + top[:, 1:w:2]
-    if w < 4:
-        out += bottom[:, :1]
-        out += bottom[:, 1:2]
-    else:
-        out += bottom[:, 0 : w - 1 : 2] + bottom[:, 1:w:2]
+    out += bottom[:, 0 : w - 1 : 2] + bottom[:, 1:w:2]
     out /= 4
     return out
 
@@ -73,7 +69,6 @@ def match(layer: np.ndarray, template: np.ndarray) -> np.ndarray:
     flattened pad at once; its K - 1 sums per row that straddle two rows
     land in the pad columns and are dropped.
     """
-    layer = np.asarray(layer, dtype=float)
     h, w = layer.shape
     k = template.size
     before = (k - 1) // 2

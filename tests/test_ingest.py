@@ -1,6 +1,7 @@
 """Preprocessing: detrend, normalize, radial interpolation, segmentation."""
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -294,6 +295,41 @@ class TestSegment:
             images = preprocess(record, cfg)
             for i in order:
                 assert images[int(i)].pixels.tobytes() == in_order[i]
+
+    @pytest.mark.parametrize("rope", ["low_ssr", "optimal_ssr", "high_ssr", "long-rope"])
+    def test_range_view_gives_the_record_bytes(self, rope):
+        # a helper is sent `images[range(a, b)]`: image j of it is image a + j,
+        # byte for byte, from the range's rows and their 2 La halo alone; the
+        # long rope is 50 high_ssr segments with a 150-sample tail
+        preset = scenario_presets()["high_ssr" if rope == "long-rope" else rope]
+        if rope == "long-rope":
+            f_spatial = preset.sampling_rate_hz / preset.inspection_speed_mps
+            preset = replace(preset, rope_length_m=(50 * 200 + 150.5) / f_spatial)
+        record, _ = generate(preset)
+        cfg = PreprocessConfig()
+        images = preprocess(record, cfg)
+        count = len(images)
+
+        def read(image):
+            return image.pixels.tobytes(), image.segment_index, image.origin_sample
+
+        whole = [read(image) for image in images]
+        splits = {(0, 1), (1, count - 1), (count - 1, count)}
+        for parts in (1, 2, 4):
+            splits |= {(count * r // parts, count * (r + 1) // parts) for r in range(parts)}
+        for a, b in sorted(splits):
+            view = images[range(a, b)]
+            assert [read(image) for image in view] == whole[a:b]
+            assert read(view[-1]) == whole[b - 1]
+            for bad in (b - a, a - b - 1):
+                with pytest.raises(IndexError):
+                    view[bad]
+            if b - a > 1:  # a view of a view starts at its own first row
+                assert read(view[range(1, b - a)][0]) == whole[a + 1]
+            row_bytes = 8 * record.channel_count
+            halo = row_bytes * ((b - a) * cfg.segment_length + 2 * cfg.half_span_la)
+            size = len(pickle.dumps(view, pickle.HIGHEST_PROTOCOL))
+            assert size <= halo + images._basis.nbytes + 1024
 
     def test_window_ignores_samples_before_its_halo(self):
         # 2P rows of other values ahead of the record move its windows by two;

@@ -2,6 +2,7 @@
 memory, and a record's segments in ranges run by forked helpers."""
 
 import errno
+import itertools
 import os
 import pickle
 import resource
@@ -15,6 +16,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mflscan
@@ -86,6 +88,37 @@ class TestMethodPlan:
         with pytest.raises(ConfigInvalid, match="segment_length = 200 x 3 is below"):
             process_record(record, PreprocessConfig(segment_length=3))
         assert calls == [SHAPE, (200, 3)]
+
+    def test_plan_guarantees_what_the_chain_assumes(self):
+        # every plan accepted over kernel_base 2-5, alpha 0.5-5, five SSRs
+        # (the three presets, the reference and a sparser one), every method
+        # and every shape up to 39 x 39: the pyramid's layers are float64 and
+        # each halves the one before, every used layer holds the K x K kernel
+        # (K >= 2), every pooled layer is at least 4 wide, and every weight
+        # past the last used layer is zero; `match`, `_pool2` and `fuse` rely
+        # on these and check none of them
+        ssrs = [(100.0, 1.0), (250.0, 1.5), (250.0, 1.2), (250.0, 0.5), (250.0, 0.15)]
+        accepted = 0
+        for kernel_base, alpha, (fs, v) in itertools.product(range(2, 6), (0.5, 1.0, 2.5, 5.0),
+                                                             ssrs):
+            cfg = AdaptiveConfig(kernel_base=kernel_base, alpha=alpha)
+            context = build_context(fs, v, cfg)
+            for method, shape in itertools.product(METHODS, itertools.product(range(1, 40),
+                                                                              repeat=2)):
+                try:
+                    kernel, weights = method_plan(context, cfg, shape, RunConfig(method))
+                except ConfigInvalid:
+                    continue
+                accepted += 1
+                used = max(j for j, w in enumerate(weights, start=1) if w)
+                layers = pyramid.build_pyramid(np.arange(shape[0] * shape[1]).reshape(shape), used)
+                assert len(layers) == used and not any(weights[used:])
+                assert all(layer.dtype == np.float64 for layer in layers)
+                for fine, coarse in zip(layers, layers[1:]):
+                    assert coarse.shape == (fine.shape[0] // 2, fine.shape[1] // 2)
+                    assert fine.shape[1] >= 4
+                assert kernel >= 2 and min(layers[-1].shape) >= kernel
+        assert accepted > 100000  # of 365040 (config, method, shape) triples
 
 
 class TestLayerSkipping:
@@ -538,7 +571,7 @@ class TestForkFailures:
         # a helper killed mid-reply leaves a prefix of its pickle in the pipe
         record, cfg, context = optimal
         images = preprocess(record, PreprocessConfig())
-        results = pipeline._run_range(images, context, cfg, RunConfig(), range(len(images)))
+        results = pipeline._run_range(images, context, cfg, RunConfig())
         assert any(detections for detections, _ in results)
         reply = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
         descriptors = len(os.listdir("/dev/fd"))

@@ -376,6 +376,34 @@ class TestDetect:
         assert not out.exists()
 
 
+# sha256 of each JSON document the commands write for `generate optimal_ssr
+# --seed 3`: its envelope (key order, indent, final newline) and its numbers
+JSON_DIGESTS = {
+    "truth": "a987bf05123e46681b83dfa4b6984fb9a2d6ab8cec2230d6f4a910ce2696bbbe",
+    "detections": "a2b98f2215d59ea9c505febeaa5d7e89027163d29d92814762e8e905d573345b",
+    "evaluate": "614505ba67670365a82b08b2e22c24be66a38006e094b4aca8494adfdec4ea20",
+    "inspect": "185a0028180cae32f1e3d81f9b4abedbc63c4eaffff5c7f5500eb493274fce2c",
+}
+
+
+def test_json_documents_bytes_are_pinned(tmp_path, capsys):
+    rope, det, report = tmp_path / "rope", tmp_path / "rope.detections.json", tmp_path / "r.json"
+    assert main(["generate", "optimal_ssr", "--out", str(rope), "--seed", "3"]) == EXIT_OK
+    assert main(["detect", str(rope.with_suffix(".mfl")), "--out", str(det)]) == EXIT_OK
+    assert main(["evaluate", "--det", str(det), "--truth", str(tmp_path / "rope_truth.json"),
+                 "--out", str(report)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["inspect", str(rope.with_suffix(".mfl"))]) == EXIT_OK
+    documents = {
+        "truth": (tmp_path / "rope_truth.json").read_bytes(),
+        "detections": det.read_bytes(),
+        "evaluate": report.read_bytes(),
+        "inspect": capsys.readouterr().out.encode(),
+    }
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in documents.items()} == JSON_DIGESTS
+
+
 @pytest.fixture(scope="module")
 def optimal_record(tmp_path_factory):
     out = tmp_path_factory.mktemp("rope") / "rope"

@@ -191,20 +191,16 @@ def cmd_evaluate(args) -> int:
             report.add(*match_detections(detections, flaws, f_spatial))
         reports = {"detections": report}
     if out:  # written before the table is printed, so a refused run prints nothing
-        payload = {
-            "schema_version": formats.SCHEMA_VERSION,
-            "reports": {
-                name: {
-                    "method": rep.method_tag,
-                    "tp": rep.tp, "fp": rep.fp, "fn": rep.fn,
-                    "precision": rep.precision,
-                    "recall": rep.recall,
-                    "f1": rep.f1,
-                }
-                for name, rep in reports.items()
-            },
-        }
-        out.write_text(json.dumps(payload, indent=2) + "\n")
+        out.write_text(formats.json_document(reports={
+            name: {
+                "method": rep.method_tag,
+                "tp": rep.tp, "fp": rep.fp, "fn": rep.fn,
+                "precision": rep.precision,
+                "recall": rep.recall,
+                "f1": rep.f1,
+            }
+            for name, rep in reports.items()
+        }))
     print(format_report_table(reports))
     return EXIT_OK
 
@@ -212,14 +208,13 @@ def cmd_evaluate(args) -> int:
 def cmd_inspect(args) -> int:
     _, _, result = _run_record(args)
     context = result.context
-    print(json.dumps({
-        "schema_version": formats.SCHEMA_VERSION,
-        "f_spatial": context.f_spatial,
-        "mu": context.mu,
-        "K_a": context.kernel_size,
-        "weights": list(context.weights),
-        "fusion_weights": list(result.fusion_weights),
-    }, indent=2))
+    print(formats.json_document(
+        f_spatial=context.f_spatial,
+        mu=context.mu,
+        K_a=context.kernel_size,
+        weights=list(context.weights),
+        fusion_weights=list(result.fusion_weights),
+    ), end="")
     return EXIT_OK
 
 

@@ -67,6 +67,11 @@ def _check_version(payload) -> None:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {version!r}")
 
 
+def json_document(**fields) -> str:
+    """Every JSON output: `schema_version` first, then `fields`; indent 2, a final newline."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2) + "\n"
+
+
 def read_text(path: Path) -> str:
     """The text of an input file; one that cannot be read or decoded is a FormatError."""
     try:
@@ -176,12 +181,10 @@ def write_pgm(path: Path | str, image: np.ndarray):
 
 
 def write_ground_truth(path: Path | str, flaws: list[GroundTruthFlaw]):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "flaws": [{key: getattr(flaw, field) for key, (field, *_) in TRUTH_KEYS.items()}
-                  for flaw in flaws],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json_document(
+        flaws=[{key: getattr(flaw, field) for key, (field, *_) in TRUTH_KEYS.items()}
+               for flaw in flaws],
+    ))
 
 
 def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
@@ -203,11 +206,10 @@ def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
 def write_detections(
     path: Path | str, record_label: str, f_spatial: float, detections: list[Detection]
 ):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "record": record_label,
-        "f_spatial": f_spatial,
-        "detections": [
+    Path(path).write_text(json_document(
+        record=record_label,
+        f_spatial=f_spatial,
+        detections=[
             {
                 "segment": det.segment_index,
                 "box": list(det.box),
@@ -217,8 +219,7 @@ def write_detections(
             }
             for det in detections
         ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    ))
 
 
 def read_detections(path: Path | str) -> tuple[float, list[Detection]]:

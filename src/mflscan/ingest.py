@@ -170,8 +170,8 @@ class Segments(Sequence):
     shorter than P is dropped and never resampled. Only the record, the basis
     and the sizes are held, so memory is the record's plus the images the
     caller keeps, and any read order gives the same bytes. `images[range(a, b)]`
-    gives the same images a to b - 1 from only their rows and halo,
-    [max(aP - La, its first row), bP + La - 1): what a helper is sent.
+    gives the same images a to b - 1 from only their rows and halo (what a
+    helper is sent): `_rows` is the one rule for the rows an image or a range reads.
     """
 
     def __init__(self, samples: np.ndarray, basis: np.ndarray, cfg: PreprocessConfig):
@@ -185,39 +185,41 @@ class Segments(Sequence):
     def __len__(self) -> int:
         return len(self._segments)
 
+    def _rows(self, segments: range) -> slice:
+        """The rows of `_samples` that segments a..b-1 and their 2*La halo read:
+        [max(aP - La, first row), bP + La - 1), cut at the rows held."""
+        first = max(segments.start * self._length - self._la, self._first_row)
+        stop = segments.stop * self._length + self._la - 1
+        return slice(first - self._first_row, stop - self._first_row)
+
     def __getitem__(self, i: int | range) -> MflImage | Segments:
         if isinstance(i, range):
-            segments, first_row = self._segments[i.start : i.stop], self._first_row
-            first = max(segments.start * self._length - self._la, first_row)
-            stop = segments.stop * self._length + self._la - 1
             view = copy.copy(self)
-            view._samples = self._samples[first - first_row : stop - first_row]
-            view._segments, view._first_row = segments, first
+            view._segments = self._segments[i.start : i.stop]
+            span = self._rows(view._segments)
+            view._samples, view._first_row = self._samples[span], self._first_row + span.start
             return view
         i = self._segments[i]
-        x, la, first_row = self._samples, self._la, self._first_row
-        m_count = x.shape[0]
-        start = i * self._length - first_row
+        span, la = self._rows(range(i, i + 1)), self._la
+        x = self._samples[span]  # a view holds each halo, so its edges clamp as the record's
+        start = i * self._length - self._first_row - span.start  # the window's row in `x`
         stop = start + self._length
         # The baseline at sample m is the mean over [m - La, m + La - 1],
         # truncated at the record's edges: a difference of one cumulative sum
         # over the window and its halo, which starts at the halo, so no
         # earlier sample enters it and its error does not grow along the rope.
-        # A view holds each of its halos, so its edges clamp where the record's do.
-        halo_start, halo_stop = max(start - la, 0), min(stop + la - 1, m_count)
-        # csum[k] = sum of x[halo_start:halo_start + k]
-        csum = np.zeros((halo_stop - halo_start + 1, x.shape[1]))
-        np.cumsum(x[halo_start:halo_stop], axis=0, out=csum[1:])
+        csum = np.zeros((x.shape[0] + 1, x.shape[1]))  # csum[k] = sum of x[:k]
+        np.cumsum(x, axis=0, out=csum[1:])
         idx = np.arange(start, stop)
         lo = np.maximum(idx - la, 0)
-        hi = np.minimum(idx + la - 1, m_count - 1)
-        rows = csum[hi + 1 - halo_start] - csum[lo - halo_start]
+        hi = np.minimum(idx + la - 1, x.shape[0] - 1)
+        rows = csum[hi + 1] - csum[lo]
         rows /= (hi - lo + 1).astype(float)[:, None]
         np.subtract(x[start:stop], rows, out=rows)
         # einsum runs on this thread; `@` would hand this size to the threaded
         # BLAS, whose idle worker keeps spinning on a core after the call
         pixels = np.einsum("pn,nh->hp", rows, self._basis, order="C")
-        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=start + first_row)
+        return MflImage(pixels=pixels, segment_index=i + 1, origin_sample=i * self._length)
 
 
 def preprocess(record: MflRecord, cfg: PreprocessConfig = PreprocessConfig()) -> Segments:

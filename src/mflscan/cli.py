@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from functools import cache
 from pathlib import Path
 
@@ -30,26 +29,6 @@ EXIT_PARSE = 3
 CONFIG_SECTIONS = (PreprocessConfig, AdaptiveConfig, RunConfig)
 # every flat `key = value` config key and the section whose field it is
 CONFIG_KEYS = {f.name: cls for cls in CONFIG_SECTIONS for f in dataclasses.fields(cls)}
-
-
-def _typed(cls, values: dict) -> dict:
-    """`values` with each int, float or str field of `cls` converted to its declared type.
-
-    A JSON `true` or `false` fits no field, and a float with a fraction is not an int.
-    """
-    hints = typing.get_type_hints(cls)
-    typed = dict(values)
-    for name, value in values.items():
-        hint = hints.get(name)
-        if hint in (int, float, str):
-            if isinstance(value, bool) or (
-                    hint is int and isinstance(value, float) and not value.is_integer()):
-                raise ValueError(f"{name}: {value!r} is not {hint.__name__}")
-            try:
-                typed[name] = hint(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"{name}: {exc}") from exc
-    return typed
 
 
 def load_config(path: Path | str) -> dict:
@@ -71,7 +50,7 @@ def load_config(path: Path | str) -> dict:
             raise FormatError(f"{path}:{lineno}: key {key!r} is already set on line {set_on[key]}")
         set_on[key] = lineno
         try:
-            values.update(_typed(CONFIG_KEYS[key], {key: raw.strip()}))
+            values.update(formats.typed(CONFIG_KEYS[key], {key: raw.strip()}))
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return values
@@ -114,10 +93,12 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: a spec is a JSON object, not {type(payload).__name__}")
+    flaws = payload.pop("flaws", [])
+    if not isinstance(flaws, list) or not all(isinstance(flaw, dict) for flaw in flaws):
+        raise FormatError(f"{path}: flaws must be a list of JSON objects")
     try:
-        flaws = tuple(GroundTruthFlaw(**_typed(GroundTruthFlaw, flaw))
-                      for flaw in payload.pop("flaws", []))
-        return SynthSpec(**_typed(SynthSpec, dict(payload, flaws=flaws)) | overrides)
+        flaws = tuple(GroundTruthFlaw(**formats.typed(GroundTruthFlaw, flaw)) for flaw in flaws)
+        return SynthSpec(**formats.typed(SynthSpec, dict(payload, flaws=flaws)) | overrides)
     except (TypeError, ValueError, FormatError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

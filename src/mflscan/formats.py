@@ -6,7 +6,9 @@ from __future__ import annotations
 import json
 import math
 import struct
+import typing
 from array import array
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,23 +36,34 @@ TRUTH_KEYS = {
 }
 
 
+def typed_value(kind: type, key: str, value):
+    """`value` that a file gives for `key` as `kind` (int, float or str), or a ValueError that
+    starts with `key`: a JSON `true` or `false` fits no kind, a float with a fraction is not
+    an int, and an int stays exact."""
+    if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key}: {value!r} is not {kind.__name__}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def typed(cls, values: dict) -> dict:
+    """`values` with each int, float or str field of dataclass `cls` through `typed_value`."""
+    hints = typing.get_type_hints(cls)
+    return {name: typed_value(hints[name], name, value)
+            if hints.get(name) in (int, float, str) else value
+            for name, value in values.items()}
+
+
 def _number(key: str, value, rule=FINITE) -> float:
-    """`value` of JSON key `key` as a finite float within `rule`, or a ValueError naming it."""
-    if isinstance(value, bool):  # float(True) is 1.0, but a JSON `true` is not a number
-        raise ValueError(f"{key} must be a number, not {value!r}")
-    number = float(value)
+    """`value` of JSON key `key` as a float that is finite and within `rule`, or a ValueError."""
+    number = typed_value(float, key, value)
     text, test = rule
     if not (math.isfinite(number) and test(number)):
         raise ValueError(f"{key} must be {text}, not {value!r}")
     return number
-
-
-def _int(key: str, value) -> int:
-    """`value` of JSON key `key` as an int; a number with a fraction is a ValueError naming it."""
-    number = _number(key, value)
-    if not number.is_integer():
-        raise ValueError(f"{key} must be a whole number, not {value!r}")
-    return int(number)
 
 
 def _numbers(key: str, values, count: int, convert) -> tuple:
@@ -130,9 +143,9 @@ def read_record_csv(path: Path | str) -> MflRecord:
             key, value = part.split("=", 1)
             meta[key.strip()] = value.strip()
         try:
-            fs = float(meta["sampling_rate_hz"])
-            v = float(meta["speed_mps"])
-            n = int(meta["channels"])
+            fs = typed_value(float, "sampling_rate_hz", meta["sampling_rate_hz"])
+            v = typed_value(float, "speed_mps", meta["speed_mps"])
+            n = typed_value(int, "channels", meta["channels"])
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{path}:1: bad header: {exc}") from exc
         samples = array("d")  # grows in place: the samples are held once
@@ -233,10 +246,10 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
             if start > end:
                 raise ValueError(f"axial_interval_m must not end before it starts: {[start, end]}")
             detections.append(Detection(
-                box=_numbers("box", entry["box"], 4, _int),
+                box=_numbers("box", entry["box"], 4, partial(typed_value, int)),
                 axial_position_m=_number("axial_m", entry["axial_m"]),
                 score=_number("score", entry["score"]),
-                segment_index=_int("segment", entry["segment"]),
+                segment_index=typed_value(int, "segment", entry["segment"]),
                 axial_start_m=start,
                 axial_end_m=end,
             ))

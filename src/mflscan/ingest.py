@@ -137,7 +137,7 @@ def interpolate_radial(channels: int, height: int) -> np.ndarray:
     same zero slopes.)
     """
     if height < channels:
-        raise ConfigInvalid(f"image height {height} is below the channel count {channels}")
+        raise ConfigInvalid(f"image_height {height} is below the channel count {channels}")
     n = channels
     values = np.eye(n)[np.arange(n + 1) % n]  # knot k (row) of each channel's spline (column)
     slope = np.diff(values, axis=0)

@@ -79,6 +79,12 @@ class TestCsvRecord:
         with pytest.raises(FormatError, match=":1"):
             formats.read_record_csv(path)
 
+    def test_bad_header_value_names_its_key(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text("# sampling_rate_hz=fast, speed_mps=0.5, channels=2\n1.0,2.0\n")
+        with pytest.raises(FormatError, match=":1: bad header: sampling_rate_hz: "):
+            formats.read_record_csv(path)
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "rec.csv"
         path.write_text(
@@ -163,7 +169,7 @@ class TestGroundTruthJson:
         payload = json.loads(path.read_text())
         payload["flaws"][0][field] = value
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="ground-truth"):
+        with pytest.raises(FormatError, match=f"bad ground-truth file: '?{field}"):
             formats.read_ground_truth(path)
 
     @pytest.mark.parametrize("value", [7, True, None, "1", MISSING])
@@ -221,6 +227,9 @@ class TestDetectionsJson:
         dets = [
             Detection(box=(10, 20, 5, 9), axial_position_m=0.42, score=0.87,
                       segment_index=2, axial_start_m=0.40, axial_end_m=0.44),
+            # 2**53 + 1 is the first int that a float cannot hold
+            Detection(box=(1, 2**53 + 1, 3, 4), axial_position_m=0.4, score=0.5,
+                      segment_index=2**53 + 1, axial_start_m=0.3, axial_end_m=0.5),
         ]
         path = tmp_path / "dets.json"
         formats.write_detections(path, "rec", 500.0, dets)
@@ -244,7 +253,7 @@ class TestDetectionsJson:
         ("box", ["a", 1, 2, 3]), ("axial_interval_m", ["x", 0.4]), ("axial_interval_m", 3),
     ])
     def test_wrongly_typed_field_rejected(self, tmp_path, field, value):
-        with pytest.raises(FormatError, match="detections"):
+        with pytest.raises(FormatError, match=f"bad detections file: '?{field}"):
             formats.read_detections(detections_with(tmp_path, field, value))
 
     @pytest.mark.parametrize("field, value", [

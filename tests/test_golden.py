@@ -16,6 +16,8 @@ from mflscan.evaluate import METHODS
 from mflscan.pipeline import RunConfig, process_record
 from mflscan.synth import make_eval_dataset, scenario_presets
 
+pytestmark = pytest.mark.pins_bytes
+
 BASE_SEED = 7
 RECORDS_PER_PRESET = 3
 GOLDEN_DIGEST = "32bac1d9e13a33b839d9dfa3a6c2c37a7c97974e323a8329099558763aa1643b"

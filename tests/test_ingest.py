@@ -296,6 +296,7 @@ class TestSegment:
             for i in order:
                 assert images[int(i)].pixels.tobytes() == in_order[i]
 
+    @pytest.mark.pins_bytes
     @pytest.mark.parametrize("rope", ["low_ssr", "optimal_ssr", "high_ssr", "long-rope"])
     def test_range_view_gives_the_record_bytes(self, rope):
         # a helper is sent `images[range(a, b)]`: image j of it is image a + j,
@@ -331,6 +332,7 @@ class TestSegment:
             size = len(pickle.dumps(view, pickle.HIGHEST_PROTOCOL))
             assert size <= halo + images._basis.nbytes + 1024
 
+    @pytest.mark.pins_bytes
     def test_window_ignores_samples_before_its_halo(self):
         # 2P rows of other values ahead of the record move its windows by two;
         # window i >= 1 starts its halo at iP - La, past the rows put ahead

@@ -57,6 +57,8 @@ from mflscan.synth import (
     scenario_presets,
 )
 
+pytestmark = pytest.mark.pins_bytes
+
 
 def cubic_spline_basis(channels, height):
     """The replaced `interpolate_radial`: scipy's periodic spline of the identity."""

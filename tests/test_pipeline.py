@@ -254,6 +254,7 @@ def usable_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
+@pytest.mark.pins_bytes
 @pytest.mark.parametrize("cores", [None, 1], ids=["usable-cores", "one-core"])
 def test_record_memory_holds_no_record_sized_array(cores, monkeypatch):
     # high_ssr ropes of 50 and 400 segments with a 150-sample tail, each built
@@ -333,6 +334,7 @@ def preset_record(name):
     return generate(scenario_presets()[name])[0]
 
 
+@pytest.mark.pins_bytes
 @pytest.mark.parametrize("rope", ["long-rope", "low_ssr", "optimal_ssr", "high_ssr"])
 def test_helpers_give_the_serial_bytes(rope, long_rope, tmp_path, monkeypatch):
     # the 50-segment rope and a 4-segment record of each preset: detections,
@@ -540,6 +542,7 @@ class TestForkFailures:
         assert (result.detections, result.chosen_thresholds) == (
             serial.detections, serial.chosen_thresholds)
 
+    @pytest.mark.pins_bytes
     def test_reply_cut_short_has_its_range_run_here(self, optimal, monkeypatch):
         # on 2 cores the helper's reply for segments 3-4 is far above the
         # 64 KiB pipe buffer; once its head is readable, and so before the
@@ -567,6 +570,7 @@ class TestForkFailures:
             serial.detections, serial.chosen_thresholds)
         assert pipeline._helpers == []
 
+    @pytest.mark.pins_bytes
     def test_every_proper_prefix_of_a_reply_is_nothing(self, optimal):
         # a helper killed mid-reply leaves a prefix of its pickle in the pipe
         record, cfg, context = optimal

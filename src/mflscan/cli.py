@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -84,23 +83,13 @@ def _load_spec(spec_arg: str, seed: int | None) -> SynthSpec:
     presets = scenario_presets()
     if spec_arg in presets:
         return dataclasses.replace(presets[spec_arg], **overrides)
-    path = Path(spec_arg)
-    if not path.exists():
+    if not Path(spec_arg).exists():
         raise FormatError(f"{spec_arg!r} is neither a preset ({', '.join(presets)}) nor a file")
-    try:
-        payload = json.loads(formats.read_text(path))
-    except (ValueError, RecursionError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: a spec is a JSON object, not {type(payload).__name__}")
-    flaws = payload.pop("flaws", [])
-    if not isinstance(flaws, list) or not all(isinstance(flaw, dict) for flaw in flaws):
-        raise FormatError(f"{path}: flaws must be a list of JSON objects")
-    try:
-        flaws = tuple(GroundTruthFlaw(**formats.typed(GroundTruthFlaw, flaw)) for flaw in flaws)
+    def read(payload):
+        flaws = tuple(GroundTruthFlaw(**formats.typed(GroundTruthFlaw, flaw))
+                      for flaw in formats.json_objects("flaws", payload.get("flaws", [])))
         return SynthSpec(**formats.typed(SynthSpec, dict(payload, flaws=flaws)) | overrides)
-    except (TypeError, ValueError, FormatError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return formats.read_json(spec_arg, "spec", read)
 
 
 def cmd_generate(args) -> int:

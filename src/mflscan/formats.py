@@ -39,8 +39,8 @@ TRUTH_KEYS = {
 def typed_value(kind: type, key: str, value):
     """`value` that a file gives for `key` as `kind` (int, float or str), or a ValueError that
     starts with `key`: a JSON `true` or `false` fits no kind, a float with a fraction is not
-    an int, and an int stays exact."""
-    if isinstance(value, bool) or (
+    an int, an int stays exact, and only a string is a str."""
+    if isinstance(value, bool) or (kind is str and not isinstance(value, str)) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{key}: {value!r} is not {kind.__name__}")
     try:
@@ -73,11 +73,12 @@ def _numbers(key: str, values, count: int, convert) -> tuple:
     return tuple(convert(key, value) for value in values)
 
 
-def _check_version(payload) -> None:
-    """A KeyError or ValueError unless the JSON `payload` has `schema_version` the int 1."""
+def _versioned(payload: dict) -> dict:
+    """`payload` if its `schema_version` is the int 1, else a KeyError or ValueError."""
     version = payload["schema_version"]
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, not {version!r}")
+    return payload
 
 
 def json_document(**fields) -> str:
@@ -91,6 +92,27 @@ def read_text(path: Path) -> str:
         return path.read_text()
     except (OSError, ValueError) as exc:
         raise FormatError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_json(path: Path | str, kind: str, read):
+    """`read(document)` of the JSON object in file `path`; a FormatError `<path>: bad <kind>
+    file: …` when the text does not parse, is not an object, or `read` refuses it."""
+    path = Path(path)
+    text = read_text(path)
+    try:
+        document = json.loads(text)
+        if not isinstance(document, dict):
+            raise ValueError(f"the top level must be a JSON object, not {type(document).__name__}")
+        return read(document)
+    except (ValueError, OverflowError, RecursionError, KeyError, TypeError, FormatError) as exc:
+        raise FormatError(f"{path}: bad {kind} file: {exc}") from exc
+
+
+def json_objects(key: str, value) -> list:
+    """`value` of JSON key `key` when it is a list of JSON objects, or a ValueError."""
+    if not isinstance(value, list) or not all(isinstance(entry, dict) for entry in value):
+        raise ValueError(f"{key} must be a list of JSON objects")
+    return value
 
 
 def write_record_binary(path: Path | str, record: MflRecord):
@@ -202,18 +224,14 @@ def write_ground_truth(path: Path | str, flaws: list[GroundTruthFlaw]):
 
 def read_ground_truth(path: Path | str) -> list[GroundTruthFlaw]:
     """The flaws of a truth file; an omitted optional key takes the `GroundTruthFlaw` default."""
-    path = Path(path)
-    try:
-        payload = json.loads(read_text(path))
-        _check_version(payload)
+    def read(payload):
         return [
             GroundTruthFlaw(**{field: _number(key, entry[key], rule)
                                for key, (field, required, rule) in TRUTH_KEYS.items()
                                if required or key in entry})
-            for entry in payload["flaws"]
+            for entry in json_objects("flaws", _versioned(payload)["flaws"])
         ]
-    except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: bad ground-truth file: {exc}") from exc
+    return read_json(path, "ground-truth", read)
 
 
 def write_detections(
@@ -236,12 +254,9 @@ def write_detections(
 
 
 def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
-    path = Path(path)
-    try:
-        payload = json.loads(read_text(path))
-        _check_version(payload)
+    def read(payload):
         detections = []
-        for entry in payload["detections"]:
+        for entry in json_objects("detections", _versioned(payload)["detections"]):
             start, end = _numbers("axial_interval_m", entry["axial_interval_m"], 2, _number)
             if start > end:
                 raise ValueError(f"axial_interval_m must not end before it starts: {[start, end]}")
@@ -254,5 +269,4 @@ def read_detections(path: Path | str) -> tuple[float, list[Detection]]:
                 axial_end_m=end,
             ))
         return _number("f_spatial", payload["f_spatial"], POSITIVE), detections
-    except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: bad detections file: {exc}") from exc
+    return read_json(path, "detections", read)

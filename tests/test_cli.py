@@ -120,9 +120,9 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
     # (key, spec): a JSON `true` or a float with a fraction in a spec; the parser used to
-    # read 16.9 channels as 16, a seed of 3.7 as 3 and a flaw at `true` as one at 1.0 m.
-    # A `flaws` that is not a list of objects used to end in a traceback or a line
-    # that named no key
+    # read 16.9 channels as 16, a seed of 3.7 as 3, a flaw at `true` as one at 1.0 m and a
+    # `null` label as "None". A `flaws` that is not a list of objects used to end in a
+    # traceback or a line that named no key
     @pytest.mark.parametrize("key, spec", [
         ("channel_count", {"channel_count": 16.9}),
         ("rng_seed", {"rng_seed": 3.7}),
@@ -131,6 +131,8 @@ class TestGenerate:
         ("flaws", {"flaws": [[]]}),
         ("flaws", {"flaws": [[["axial_position_m", 1.0]]]}),
         ("flaws", {"flaws": 5}),
+        ("label", {"label": None}),
+        ("label", {"label": [1]}),
     ])
     def test_bool_or_fractional_int_is_parse_error(self, key, spec, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

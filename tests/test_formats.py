@@ -205,6 +205,20 @@ class TestGroundTruthJson:
         with pytest.raises(FormatError, match=f"bad ground-truth file: '{key}'"):
             formats.read_ground_truth(path)
 
+    # these printed `list indices must be integers or slices, not str` or `'int' object is
+    # not subscriptable`, naming no key, and a `flaws` of "" read as no flaws
+    @pytest.mark.parametrize("payload, message", [
+        ([1], "the top level must be a JSON object, not list"),
+        ({"schema_version": 1, "flaws": 5}, "flaws must be a list of JSON objects"),
+        ({"schema_version": 1, "flaws": [5]}, "flaws must be a list of JSON objects"),
+        ({"schema_version": 1, "flaws": ""}, "flaws must be a list of JSON objects"),
+    ])
+    def test_misshapen_document_rejected_by_name(self, tmp_path, payload, message):
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=f"bad ground-truth file: {message}$"):
+            formats.read_ground_truth(path)
+
 
 def detections_with(tmp_path, field, value):
     """A one-detection file with `field` set to `value`, or deleted when `value` is MISSING."""
@@ -213,7 +227,8 @@ def detections_with(tmp_path, field, value):
                     axial_start_m=0.3, axial_end_m=0.5)
     formats.write_detections(path, "rec", 500.0, [det])
     payload = json.loads(path.read_text())
-    holder = payload if field in ("f_spatial", "schema_version") else payload["detections"][0]
+    holder = (payload if field in ("f_spatial", "schema_version", "detections")
+              else payload["detections"][0])
     if value is MISSING:
         del holder[field]
     else:
@@ -261,10 +276,18 @@ class TestDetectionsJson:
         ("axial_interval_m", [0.1, 0.2, 0.3]), ("axial_interval_m", [0.3, 0.1]),
         ("schema_version", 7), ("schema_version", True), ("schema_version", None),
         ("schema_version", MISSING),
+        ("detections", 5), ("detections", [[1]]), ("detections", {}),
     ])
     def test_misshapen_field_rejected_by_name(self, tmp_path, field, value):
         with pytest.raises(FormatError, match=f"bad detections file: '?{field}"):
             formats.read_detections(detections_with(tmp_path, field, value))
+
+    @pytest.mark.parametrize("text", ['"x"', "[]", "5"])
+    def test_top_level_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "dets.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="bad detections file: the top level must be"):
+            formats.read_detections(path)
 
     def test_empty_interval_accepted(self, tmp_path):
         det = Detection(box=(1, 2, 3, 3), axial_position_m=0.4, score=0.5, segment_index=1,
